@@ -5,8 +5,11 @@ return cyclotomic integers.  The verify_* family at the bottom re-proves
 the classical product and row-sum identities on a concrete field by
 integer counting: both sides of an identity are expanded into vectors of
 root-of-unity exponent counts, and the difference is reduced modulo the
-relevant cyclotomic polynomial with exact integer matrix arithmetic.  A
-passing verdict is therefore a statement about integers, not floats.
+relevant cyclotomic polynomial by cyclotomic.reduce_counts.  A passing
+verdict is therefore a statement about integers, not floats.
+
+Every class-sum and Jacobi-row count is a slice of the cyclotomic numbers
+(i, j)_m, so all of them are counted from one place, _class_pairs.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import current_limits
-from .cyclotomic import CycInt, reduction_rows
-from .errors import BoundExceeded, OrderDoesNotDivide, TrivialPower
+# reduction_rows is unused here but stays importable from this module:
+# bench/test_bench.py checks that the traced run restores it on charsums.
+from .cyclotomic import CycInt, reduce_counts, reduction_rows  # noqa: F401
+from .errors import BoundExceeded, OddOrder, OrderDoesNotDivide, TrivialPower
 from .ff import FFElement, FiniteField
 
 
@@ -33,8 +38,7 @@ class Character:
     __slots__ = ("field", "m")
 
     def __init__(self, field: FiniteField, m: int):
-        if m < 1 or (field.q - 1) % m != 0:
-            raise OrderDoesNotDivide(f"m={m} does not divide q-1={field.q - 1}")
+        _require_order(field, m)
         self.field = field
         self.m = m
 
@@ -47,6 +51,11 @@ class Character:
 
     def __hash__(self):
         return hash((self.field, self.m))
+
+
+def _require_order(field: FiniteField, m: int) -> None:
+    if m < 1 or (field.q - 1) % m != 0:
+        raise OrderDoesNotDivide(f"m={m} does not divide q-1={field.q - 1}")
 
 
 def character(field: FiniteField, m: int) -> Character:
@@ -84,46 +93,25 @@ def chi_eval(chi: Character, s: int, alpha: FFElement) -> CycInt:
     return CycInt.root(m, s * j)
 
 
-# -- count-vector plumbing -------------------------------------------------------
+# -- count vectors -------------------------------------------------------------
 #
 # A sum of m-th roots of unity is held as a length-m integer vector of
 # exponent counts.  Mixed Gauss-type sums use an (m, p) matrix of counts
-# for zeta_m^j zeta_p^w.  Reduction to the power basis is a single exact
-# integer matrix product against reduction_rows.
-
-
-def _reduce_counts(vec: np.ndarray, n: int) -> np.ndarray:
-    rows = reduction_rows(n)
-    bound = int(np.abs(vec).max(initial=0)) * int(np.abs(rows).max(initial=1)) * n
-    assert bound < 2 ** 62, "count reduction would overflow int64"
-    return vec.astype(np.int64) @ rows
-
-
-def _counts_cycint(vec: np.ndarray, n: int) -> CycInt:
-    return CycInt(n, _reduce_counts(vec, n).tolist())
-
-
-def _mixed_counts_zero(mat: np.ndarray, m: int, p: int) -> bool:
-    """Whether sum mat[j,w] zeta_m^j zeta_p^w vanishes, by exact reduction."""
-    folded = mat[:, : p - 1] - mat[:, p - 1:p]
-    rows = reduction_rows(m)
-    bound = (int(np.abs(folded).max(initial=0))
-             * int(np.abs(rows).max(initial=1)) * m)
-    assert bound < 2 ** 62, "count reduction would overflow int64"
-    return not np.any(folded.astype(np.int64).T @ rows)
+# for zeta_m^j zeta_p^w, reduced in zeta_p and then in zeta_m.
 
 
 def _decimate(vec: np.ndarray, s: int, m: int) -> np.ndarray:
     """out[i] = sum of vec[j] over j with s*j = i mod m (also for matrices)."""
     shape = (m,) + vec.shape[1:]
     out = np.zeros(shape, dtype=np.int64)
-    np.add.at(out, (s * np.arange(m)) % m, vec)
+    np.add.at(out, (s % m) * np.arange(m) % m, vec)
     return out
 
 
 @functools.lru_cache(maxsize=8)
 def _tables(field: FiniteField) -> SimpleNamespace:
-    """Dlog, trace and 1-x arrays over the q-1 nonzero codes."""
+    """Dlog and trace arrays over the q-1 nonzero codes, and the dlogs of
+    alpha and 1 - alpha over the q-2 codes alpha outside {0, 1}."""
     q = field.q
     codes = np.arange(1, q, dtype=np.int64)
     dlog = field.log_table[1:q].astype(np.int64)
@@ -134,6 +122,7 @@ def _tables(field: FiniteField) -> SimpleNamespace:
         weights = np.array(field._basis_traces, dtype=np.int64)
         trace_all = (mat @ weights) % field.p
     one_minus = field.codes_sub(np.ones_like(codes), codes)
+    inner = one_minus != 0
     neg_one = int(field.codes_sub(np.zeros(1, dtype=np.int64),
                                   np.ones(1, dtype=np.int64))[0])
     return SimpleNamespace(
@@ -141,7 +130,8 @@ def _tables(field: FiniteField) -> SimpleNamespace:
         dlog=dlog,
         trace=trace_all[1:q],
         trace_all=trace_all,
-        one_minus=one_minus,
+        pair_dlog=dlog[inner],
+        pair_dlog_om=field.log_table[one_minus[inner]].astype(np.int64),
         dlog_neg_one=int(field.log_table[neg_one]),
     )
 
@@ -149,6 +139,35 @@ def _tables(field: FiniteField) -> SimpleNamespace:
 def _h_positions(field: FiniteField, m: int) -> np.ndarray:
     """Boolean mask over codes 1..q-1 marking the nonzero m-th powers."""
     return _tables(field).dlog % m == 0
+
+
+def _class_pairs(field: FiniteField, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dlog(alpha) mod m, dlog(1 - alpha) mod m) for each alpha outside {0, 1}.
+
+    The number of alphas at the pair (i, j) is the cyclotomic number
+    (i, j)_m.  The pairs take O(q) memory whatever m is, and the count
+    vectors below never build the (m, m) matrix of those numbers,
+    because m can be as large as q - 1.
+    """
+    t = _tables(field)
+    return t.pair_dlog % m, t.pair_dlog_om % m
+
+
+def _class_sum_counts(field: FiniteField, m: int) -> np.ndarray:
+    """Exponent counts of S_1 without its alpha = 1 term: (0, j)_m over j."""
+    a, b = _class_pairs(field, m)
+    return np.bincount(b[a == 0], minlength=m)
+
+
+def _row_sum_counts(field: FiniteField, m: int) -> np.ndarray:
+    """Exponent counts of the Jacobi row sum at s = 1.
+
+    The inner sum over t of chi^t(1 - alpha) is m - 1 when 1 - alpha is
+    an m-th power and -1 otherwise, so the row sum collapses to
+    m (i, 0)_m minus the number of alphas in class i, over i.
+    """
+    a, b = _class_pairs(field, m)
+    return m * np.bincount(a[b == 0], minlength=m) - np.bincount(a, minlength=m)
 
 
 # -- the sums themselves ---------------------------------------------------------
@@ -167,61 +186,37 @@ def gauss_sum(chi: Character, s: int = 1) -> CharSumValue:
     vec = np.bincount(exps, minlength=n)
     if s % m == 0:
         vec[0] += 1  # alpha = 0 contributes chi^s(0) = 1 for trivial powers
-    return CharSumValue(_counts_cycint(vec, n), (field.q, m, s % m))
+    return CharSumValue(CycInt.from_counts(vec), (field.q, m, s % m))
 
 
 def jacobi_sum(chi: Character, s: int, t: int) -> CharSumValue:
     """Sum of chi^s(alpha) chi^t(1-alpha) over the whole field, in Z[zeta_m]."""
     field, m = chi.field, chi.m
-    tab = _tables(field)
-    inner = tab.one_minus != 0  # alpha = 1 handled separately
-    dlog_om = field.log_table[tab.one_minus[inner]].astype(np.int64)
-    exps = (s * tab.dlog[inner] + t * dlog_om) % m
-    vec = np.bincount(exps, minlength=m)
+    a, b = _class_pairs(field, m)
+    vec = np.bincount(((s % m) * a + (t % m) * b) % m, minlength=m)
     if s % m == 0:
         vec[0] += 1  # alpha = 0
     if t % m == 0:
         vec[0] += 1  # alpha = 1
-    return CharSumValue(_counts_cycint(vec, m), (field.q, m, s % m, t % m))
+    return CharSumValue(CycInt.from_counts(vec), (field.q, m, s % m, t % m))
 
 
 def h_class_sum(chi: Character, s: int) -> CharSumValue:
     """S_s: sum of chi^s(1-alpha) over the nonzero m-th powers alpha."""
     field, m = chi.field, chi.m
-    tab = _tables(field)
-    mask = _h_positions(field, m)
-    om = tab.one_minus[mask]
-    inner = om != 0
-    exps = (s * field.log_table[om[inner]].astype(np.int64)) % m
-    vec = np.bincount(exps, minlength=m)
+    vec = _decimate(_class_sum_counts(field, m), s, m)
     if s % m == 0:
         vec[0] += 1  # alpha = 1 lies in the class; chi^s(0) = 1 there
-    return CharSumValue(_counts_cycint(vec, m), (field.q, m, s % m))
+    return CharSumValue(CycInt.from_counts(vec), (field.q, m, s % m))
 
 
 def jacobi_row_sum(chi: Character, s: int) -> CharSumValue:
-    """Sum of jacobi_sum(s, t) over t = 1..m-1, for a nontrivial power s.
-
-    Below the configured size cutoff the Jacobi sums are added literally;
-    above it the t-summation is collapsed first (the inner geometric sum
-    over t is m-1 or -1 depending on whether 1-alpha is an m-th power),
-    which needs one pass over the field instead of m-1.
-    """
+    """Sum of jacobi_sum(s, t) over t = 1..m-1, for a nontrivial power s."""
     field, m = chi.field, chi.m
     if s % m == 0:
         raise TrivialPower(f"s={s} is a multiple of m={m}")
-    if m <= current_limits().jacobi_direct_m_max:
-        total = CycInt.zero(m)
-        for t in range(1, m):
-            total = total + jacobi_sum(chi, s, t).value
-        return CharSumValue(total, (field.q, m, s % m))
-    tab = _tables(field)
-    inner = tab.one_minus != 0
-    dlog_om = field.log_table[tab.one_minus[inner]].astype(np.int64)
-    sl = (s * tab.dlog[inner]) % m
-    in_h = dlog_om % m == 0
-    vec = m * np.bincount(sl[in_h], minlength=m) - np.bincount(sl, minlength=m)
-    return CharSumValue(_counts_cycint(vec, m), (field.q, m, s % m))
+    vec = _decimate(_row_sum_counts(field, m), s, m)
+    return CharSumValue(CycInt.from_counts(vec), (field.q, m, s % m))
 
 
 # -- identity verification by exact counting -------------------------------------
@@ -234,7 +229,7 @@ def verify_gauss_conjugate_norm(field: FiniteField, m: int) -> bool:
     t = _tables(field)
     # trivial power: counts of tr(alpha) over all of F_q reduce to zero
     tvec = np.bincount(t.trace_all, minlength=p)
-    if np.any(_reduce_counts(tvec, p)):
+    if np.any(reduce_counts(tvec, p)):
         return False
     if m == 1:
         return True
@@ -245,7 +240,7 @@ def verify_gauss_conjugate_norm(field: FiniteField, m: int) -> bool:
     for s in range(1, m):
         mat = _decimate(base, s, m)
         mat[0, 0] -= q
-        if not _mixed_counts_zero(mat, m, p):
+        if np.any(reduce_counts(reduce_counts(mat, p).T, m)):
             return False
     return True
 
@@ -263,18 +258,9 @@ def verify_gauss_opposite_product(field: FiniteField, m: int) -> bool:
     for s in range(1, m):
         mat = _decimate(base, s, m)
         mat[(s * t.dlog_neg_one) % m, 0] -= q
-        if not _mixed_counts_zero(mat, m, p):
+        if np.any(reduce_counts(reduce_counts(mat, p).T, m)):
             return False
     return True
-
-
-def _pair_class_counts(field: FiniteField, m: int) -> np.ndarray:
-    """N[j,l] = #(alpha outside {0,1} with dlog(alpha)=j, dlog(1-alpha)=l mod m)."""
-    t = _tables(field)
-    inner = t.one_minus != 0
-    dlog_om = field.log_table[t.one_minus[inner]].astype(np.int64)
-    key = (t.dlog[inner] % m) * m + dlog_om % m
-    return np.bincount(key, minlength=m * m).reshape(m, m)
 
 
 def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
@@ -300,9 +286,7 @@ def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
     w = t.trace_all[sum_codes]
     key = (np.repeat(cls, q - 1) * m + np.tile(cls, q - 1)) * p + w
     u = np.bincount(key, minlength=m * m * p)
-    inner = t.one_minus != 0
-    a_cls = cls[inner]
-    om_cls = field.log_table[t.one_minus[inner]].astype(np.int64) % m
+    a_cls, om_cls = _class_pairs(field, m)
     j1 = (a_cls[:, None] + cls[None, :]) % m
     j2 = (om_cls[:, None] + cls[None, :]) % m
     key = (j1 * m + j2) * p + t.trace[None, :]
@@ -312,34 +296,32 @@ def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
     if not np.array_equal(u.reshape(m, m, p), v):
         return False
     # degenerate pairs: J(chi^s, chi^-s) = -chi^s(-1)
-    n_counts = _pair_class_counts(field, m)
-    jg, lg = np.divmod(np.arange(m * m), m)
-    flat = n_counts.ravel()
+    base = np.bincount((a_cls - om_cls) % m, minlength=m)
     for s in range(1, m):
-        vec = np.zeros(m, dtype=np.int64)
-        np.add.at(vec, (s * (jg - lg)) % m, flat)
+        vec = _decimate(base, s, m)
         vec[(s * t.dlog_neg_one) % m] += 1
-        if np.any(_reduce_counts(vec, m)):
+        if np.any(reduce_counts(vec, m)):
             return False
     return True
 
 
 def verify_jacobi_duplication(field: FiniteField, m: int) -> bool:
-    """chi^s(4) J(chi^s,chi^s) = J(chi^s,chi^(m/2)) for even m, nontrivial s."""
-    assert m % 2 == 0 and field.p != 2
-    t = _tables(field)
+    """chi^s(4) J(chi^s,chi^s) = J(chi^s,chi^(m/2)) for even m, nontrivial s.
+
+    An even m dividing q - 1 forces odd q, so 4 is nonzero.
+    """
+    _require_order(field, m)
+    if m % 2:
+        raise OddOrder(f"duplication needs an even order, got m={m}")
     four = field.element(1) + field.element(1)
     four = (four + four).code
     dlog4 = int(field.log_table[four])
-    n_counts = _pair_class_counts(field, m)
-    jg, lg = np.divmod(np.arange(m * m), m)
-    flat = n_counts.ravel()
+    a, b = _class_pairs(field, m)
     half = m // 2
     for s in range(1, m):
-        vec = np.zeros(m, dtype=np.int64)
-        np.add.at(vec, (s * (jg + lg) + s * dlog4) % m, flat)
-        np.add.at(vec, (s * jg + half * lg) % m, -flat)
-        if np.any(_reduce_counts(vec, m)):
+        vec = np.bincount((s * (a + b + dlog4)) % m, minlength=m)
+        vec -= np.bincount((s * a + half * b) % m, minlength=m)
+        if np.any(reduce_counts(vec, m)):
             return False
     return True
 
@@ -348,21 +330,12 @@ def verify_row_sums(field: FiniteField, m: int) -> bool:
     """Row sums of Jacobi sums against 1 + m S_s, for every nontrivial s."""
     if m == 1:
         return True
-    t = _tables(field)
-    inner = t.one_minus != 0
-    dlog_om = field.log_table[t.one_minus[inner]].astype(np.int64)
-    cls = t.dlog[inner] % m
-    in_h = dlog_om % m == 0
-    c_row = m * np.bincount(cls[in_h], minlength=m) - np.bincount(cls, minlength=m)
-    # S_s base: classes of 1-alpha over alpha in H, alpha != 1
-    mask = _h_positions(field, m)
-    om = t.one_minus[mask]
-    s_base = np.bincount(field.log_table[om[om != 0]].astype(np.int64) % m,
-                         minlength=m)
+    c_row = _row_sum_counts(field, m)
+    s_base = _class_sum_counts(field, m)
     for s in range(1, m):
         vec = _decimate(c_row, s, m) - m * _decimate(s_base, s, m)
         vec[0] -= 1
-        if np.any(_reduce_counts(vec, m)):
+        if np.any(reduce_counts(vec, m)):
             return False
     return True
 
@@ -384,9 +357,7 @@ def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     diffs = field.codes_sub(np.repeat(h_codes, f), np.tile(h_codes, f))
     b = np.bincount(diffs, minlength=q)
     # a by class of gamma: alpha in H, alpha != 1, with 1-alpha in gamma H
-    om = t.one_minus[mask]
-    a_cls = np.bincount(field.log_table[om[om != 0]].astype(np.int64) % m,
-                        minlength=m)
+    a_cls = _class_sum_counts(field, m)
     gamma_cls = t.dlog % m
     if not np.array_equal(b[1:], a_cls[gamma_cls]):
         return False
@@ -401,17 +372,14 @@ def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     if not np.array_equal(c[1:], expected):
         return False
     # character-averaged recovery of the pair counts, one gamma class each
-    s_mat = np.zeros((m, m), dtype=np.int64)
-    om_cls = field.log_table[om[om != 0]].astype(np.int64) % m
-    for s in range(m):
-        s_mat[s] = np.bincount((s * om_cls) % m, minlength=m)
+    s_mat = np.array([_decimate(a_cls, s, m) for s in range(m)])
     s_mat[0, 0] += 1  # alpha = 1 term of the trivial power
     for c_gamma in range(m):
         vec = np.zeros(m, dtype=np.int64)
         for s in range(m):
             np.add.at(vec, (np.arange(m) - s * c_gamma) % m, s_mat[s])
         vec[0] -= m * int(a_cls[c_gamma]) + 1
-        if np.any(_reduce_counts(vec, m)):
+        if np.any(reduce_counts(vec, m)):
             return False
     return True
 
@@ -426,20 +394,19 @@ def verify_class_difference_sums(field: FiniteField, m: int) -> bool:
     diffs = field.codes_sub(np.repeat(h_codes, f), np.tile(h_codes, f))
     diffs = diffs[diffs != 0]
     w = np.bincount(field.log_table[diffs].astype(np.int64) % m, minlength=m)
-    om = t.one_minus[mask]
-    s_base = np.bincount(field.log_table[om[om != 0]].astype(np.int64) % m,
-                         minlength=m)
+    s_base = _class_sum_counts(field, m)
     # the beta = gamma diagonal and f times the alpha = 1 term of S_s are
     # both f when the power is trivial and 0 otherwise, so they cancel
     for s in range(m):
         vec = _decimate(w, s, m) - f * _decimate(s_base, s, m)
-        if np.any(_reduce_counts(vec, m)):
+        if np.any(reduce_counts(vec, m)):
             return False
     return True
 
 
 def verify_identity_suite(field: FiniteField, m: int) -> dict[str, bool]:
     """Run every exact identity check for one (field, m); all should pass."""
+    _require_order(field, m)
     out = {
         "gauss_conjugate_norm": verify_gauss_conjugate_norm(field, m),
         "gauss_opposite_product": verify_gauss_opposite_product(field, m),

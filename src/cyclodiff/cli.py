@@ -16,7 +16,7 @@ import sys
 from . import groebner as gb
 from . import polysys as ps
 from .charsums import character, gauss_sum, h_class_sum, jacobi_sum
-from .config import reload_limits
+from .config import check_limit_values, reload_limits
 from .cyclotomic import embed
 from .diffsets import (DSParams, VERDICT_DS, check_charsum, check_direct,
                        check_gauss, check_jacobi, cyclotomic_class,
@@ -72,9 +72,12 @@ def _limit_kwargs(args) -> dict:
     mapping = {"gb_max_spairs": "max_spairs",
                "gb_max_coeff_bits": "max_coeff_bits",
                "gb_timeout": "timeout"}
+    if not isinstance(data, dict):
+        raise CyclodiffError("--limits must be a JSON object")
     bad = sorted(set(data) - set(mapping))
     if bad:
         raise CyclodiffError(f"unknown limit keys: {', '.join(bad)}")
+    check_limit_values(data)
     return {mapping[k]: v for k, v in data.items()}
 
 

@@ -20,51 +20,66 @@ from .errors import BoundExceeded, NotAMultiple, NotCoprime, OrderMismatch
 from .intpoly import IntPoly, cyclotomic_polynomial_unbounded, euler_phi
 
 
-def cyclotomic_polynomial(n: int) -> IntPoly:
-    """Phi_n, bound-checked."""
+def _check_order(n: int) -> None:
     limit = current_limits().cyclotomic_n_max
     if not 1 <= n <= limit:
         raise BoundExceeded(f"cyclotomic order {n} outside [1, {limit}]")
+
+
+def cyclotomic_polynomial(n: int) -> IntPoly:
+    """Phi_n, bound-checked."""
+    _check_order(n)
     return cyclotomic_polynomial_unbounded(n)
 
 
+# Entries of every reduction table stay below this; reduce_counts relies on it.
+_ROW_MAX = 2 ** 20
+
+
 def reduction_rows(n: int) -> np.ndarray:
-    """(n, phi(n)) int64 matrix whose k-th row is x^k mod Phi_n.
+    """(n - phi(n), phi(n)) int64 matrix whose row k is x^(phi(n)+k) mod Phi_n.
 
-    Since x^n = 1 mod Phi_n, any exponent is reduced by indexing mod n.
-    Row magnitudes stay small for the orders this library allows, which
-    keeps downstream integer matrix products inside exact int64 range.
-    Allowed up to reduction_n_max, above the public ring bound, because
-    count-vector reductions meet class-sum orders as large as q - 1;
-    large matrices sit in a short cache so a scan cannot pin them all.
+    The powers below phi(n) are basis elements already, and x^n = 1 mod
+    Phi_n, so these rows reduce any exponent.  Read-only and cached for
+    the last few orders only, so a scan cannot pin one table per order.
     """
-    limit = current_limits().reduction_n_max
-    if not 1 <= n <= limit:
-        raise BoundExceeded(f"reduction order {n} outside [1, {limit}]")
-    return _rows_small(n) if n <= 256 else _rows_large(n)
+    _check_order(n)
+    return _build_rows(n)
 
 
+@functools.lru_cache(maxsize=4)
 def _build_rows(n: int) -> np.ndarray:
-    phi_coeffs = cyclotomic_polynomial_unbounded(n).coeffs
-    phi = len(phi_coeffs) - 1
-    rows = np.zeros((n, phi), dtype=np.int64)
-    head = -np.array(phi_coeffs[:phi], dtype=np.int64)
-    for k in range(min(phi, n)):
-        rows[k, k] = 1
-    for k in range(phi, n):
-        prev = rows[k - 1]
-        rows[k, 1:] = prev[:-1]
-        rows[k] += prev[-1] * head
-    assert np.abs(rows).max(initial=1) < 2 ** 20, "reduction rows grew too large"
+    coeffs = cyclotomic_polynomial_unbounded(n).coeffs
+    phi = len(coeffs) - 1
+    head = -np.array(coeffs[:phi], dtype=np.int64)   # x^phi, as Phi_n is monic
+    rows = np.zeros((n - phi, phi), dtype=np.int64)
+    row = head
+    for k in range(n - phi):
+        rows[k] = row
+        row = np.concatenate(([0], row[:-1])) + row[-1] * head
+    if np.abs(rows).max(initial=0) >= _ROW_MAX:
+        raise BoundExceeded(f"reduction rows of order {n} exceed {_ROW_MAX}")
+    rows.flags.writeable = False
     return rows
 
 
-_rows_small = functools.lru_cache(maxsize=256)(_build_rows)
-_rows_large = functools.lru_cache(maxsize=4)(_build_rows)
+def reduce_counts(vec, n: int) -> np.ndarray:
+    """Power-basis coefficients of sum_k vec[..., k] zeta_n^k, exactly.
 
-
-def _rows_max(n: int) -> int:
-    return int(np.abs(reduction_rows(n)).max(initial=1))
+    vec holds integers along a last axis of length n; leading axes are
+    reduced independently.  The product with reduction_rows(n) runs in
+    int64 while a bound on every output entry stays below 2^62, and over
+    Python ints otherwise, so no input can overflow.
+    """
+    rows = reduction_rows(n)
+    phi = rows.shape[1]
+    vec = np.asarray(vec)
+    top = max(int(vec.max(initial=0)), -int(vec.min(initial=0)))
+    if top * n * _ROW_MAX < 2 ** 62:
+        vec = vec.astype(np.int64, copy=False)
+        return vec[..., :phi] + vec[..., phi:] @ rows
+    vec = vec.astype(object)
+    return vec[..., :phi] + vec[..., phi:] @ rows.astype(object)
 
 
 class CycInt:
@@ -73,9 +88,7 @@ class CycInt:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
-        limit = current_limits().cyclotomic_n_max
-        if not 1 <= n <= limit:
-            raise BoundExceeded(f"cyclotomic order {n} outside [1, {limit}]")
+        _check_order(n)
         cs = tuple(int(c) for c in coeffs)
         if len(cs) != euler_phi(n):
             raise ValueError(f"need {euler_phi(n)} coefficients for order {n}")
@@ -95,8 +108,14 @@ class CycInt:
     @classmethod
     def root(cls, n: int, k: int = 1) -> "CycInt":
         """zeta_n^k."""
-        rows = reduction_rows(n)
-        return cls(n, rows[k % n].tolist())
+        vec = np.zeros(n, dtype=np.int64)
+        vec[k % n] = 1
+        return cls.from_counts(vec)
+
+    @classmethod
+    def from_counts(cls, vec) -> "CycInt":
+        """sum_k vec[k] zeta_n^k with n = len(vec)."""
+        return cls(len(vec), reduce_counts(vec, len(vec)).tolist())
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -183,32 +202,17 @@ def _common(a: CycInt, b: CycInt) -> tuple[CycInt, CycInt]:
 
 
 def _mul_reduced(a: CycInt, b: CycInt) -> CycInt:
-    n = a.n
-    phi = len(a.coeffs)
-    rows = reduction_rows(n)
-    amax = max((abs(c) for c in a.coeffs), default=0)
-    bmax = max((abs(c) for c in b.coeffs), default=0)
-    # int64 is exact while every intermediate stays below 2^62
-    if amax and bmax and amax * bmax * phi * phi * (_rows_max(n) + 1) < 2 ** 62:
-        full = np.convolve(np.array(a.coeffs, dtype=np.int64),
-                           np.array(b.coeffs, dtype=np.int64))
-        out = full[:phi].copy()
-        if len(full) > phi:
-            idx = np.arange(phi, len(full)) % n
-            out += full[phi:] @ rows[idx]
-        return CycInt(n, out.tolist())
-    out = [0] * phi
-    for i, ca in enumerate(a.coeffs):
-        if not ca:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if not cb:
-                continue
-            c = ca * cb
-            for t, r in enumerate(rows[(i + j) % n]):
-                if r:
-                    out[t] += c * int(r)
-    return CycInt(n, out)
+    n, phi = a.n, len(a.coeffs)
+    top = max(map(abs, a.coeffs)) * max(map(abs, b.coeffs))
+    if not top:
+        return CycInt.zero(n)
+    # the int64 convolution is exact while its folded sums stay below 2^62
+    dtype = np.int64 if 2 * phi * top < 2 ** 62 else object
+    full = np.convolve(np.array(a.coeffs, dtype=dtype),
+                       np.array(b.coeffs, dtype=dtype))
+    vec = np.zeros(2 * n, dtype=dtype)
+    vec[:len(full)] = full
+    return CycInt.from_counts(vec[:n] + vec[n:])
 
 
 def cyc_arith(op: str, a: CycInt, b) -> CycInt:
@@ -239,15 +243,9 @@ def cyc_lift(a: CycInt, n2: int) -> CycInt:
         raise NotAMultiple(f"{n2} is not a multiple of {a.n}")
     if n2 == a.n:
         return a
-    step = n2 // a.n
-    rows = reduction_rows(n2)
-    out = [0] * euler_phi(n2)
-    for i, c in enumerate(a.coeffs):
-        if c:
-            for t, r in enumerate(rows[(i * step) % n2]):
-                if r:
-                    out[t] += c * int(r)
-    return CycInt(n2, out)
+    vec = np.zeros(n2, dtype=object)
+    vec[np.arange(len(a.coeffs)) * (n2 // a.n)] = a.coeffs
+    return CycInt.from_counts(vec)
 
 
 def galois(a: CycInt, k: int) -> CycInt:
@@ -255,14 +253,9 @@ def galois(a: CycInt, k: int) -> CycInt:
     n = a.n
     if gcd(k, n) != 1:
         raise NotCoprime(f"{k} is not coprime to {n}")
-    rows = reduction_rows(n)
-    out = [0] * len(a.coeffs)
-    for i, c in enumerate(a.coeffs):
-        if c:
-            for t, r in enumerate(rows[(i * k) % n]):
-                if r:
-                    out[t] += c * int(r)
-    return CycInt(n, out)
+    vec = np.zeros(n, dtype=object)
+    vec[np.arange(len(a.coeffs)) * (k % n) % n] = a.coeffs
+    return CycInt.from_counts(vec)
 
 
 # -- rational multiples of cyclotomic integers ----------------------------------

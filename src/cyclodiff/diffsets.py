@@ -1,11 +1,14 @@
 """Power classes of finite fields as candidate difference sets.
 
 H is the multiplicative subgroup of nonzero m-th powers in F_q, and M is
-H with zero appended.  Four independent routes decide whether such a
-class is a difference set: literal difference counting, class sums,
-Jacobi row sums, and a Gauss-sum product relation.  All four work in
-exact integer arithmetic; the scanner sweeps prime powers and flags any
-nontrivial hit that no known family explains.
+H with zero appended.  Four routes decide whether such a class is a
+difference set: literal difference counting, class sums, Jacobi row
+sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
+count from the same class pairs (charsums._class_pairs); the direct
+route shares nothing with them, and the Gauss route builds its own
+trace tensors.  All four work in exact integer arithmetic; the scanner
+sweeps prime powers and flags any nontrivial hit that no known family
+explains.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .config import current_limits
-from .errors import (BoundExceeded, OrderDoesNotDivide, ZeroGamma,
-                     ZeroMultiplier)
+from .errors import BoundExceeded, ZeroGamma, ZeroMultiplier
 from .ff import FFElement, FiniteField, is_prime, make_field
-from .charsums import (_decimate, _h_positions, _mixed_counts_zero,
-                       _reduce_counts, _tables)
+from .charsums import (_class_sum_counts, _decimate, _require_order,
+                       _row_sum_counts, _tables)
+from .cyclotomic import reduce_counts
 
 VERDICT_DS = "difference_set"
 VERDICT_NOT = "not_difference_set"
@@ -105,9 +108,7 @@ class CyclotomicClass:
 def cyclotomic_class(field: FiniteField, m: int,
                      modified: bool = False) -> CyclotomicClass:
     """The nonzero m-th powers of F_q; modified appends zero."""
-    q = field.q
-    if m < 1 or (q - 1) % m != 0:
-        raise OrderDoesNotDivide(f"m={m} does not divide q-1={q - 1}")
+    _require_order(field, m)
     codes = np.sort(field.exp_table[::m].copy())
     if modified:
         codes = np.concatenate(([0], codes))
@@ -153,29 +154,20 @@ def _orbit_reps(m: int):
     return [d for d in range(1, m) if m % d == 0]
 
 
-def _class_sum_base(field: FiniteField, m: int) -> np.ndarray:
-    """Exponent counts of S_1 without the alpha = 1 term."""
-    t = _tables(field)
-    mask = _h_positions(field, m)
-    om = t.one_minus[mask]
-    return np.bincount(field.log_table[om[om != 0]].astype(np.int64) % m,
-                       minlength=m)
-
-
 def check_charsum(field: FiniteField, m: int, modified: bool) -> str:
     """Difference set iff every nontrivial class sum hits its target value
     (0 unmodified, -1 - chi^s(-1) modified)."""
     params = DSParams.from_instance(field.q, m, modified)
     if not params.feasible:
         return VERDICT_INFEASIBLE
-    base = _class_sum_base(field, m)
+    base = _class_sum_counts(field, m)
     lneg = _tables(field).dlog_neg_one
     for s in _orbit_reps(m):
         vec = _decimate(base, s, m)
         if modified:
             vec[0] += 1
             vec[(s * lneg) % m] += 1
-        if np.any(_reduce_counts(vec, m)):
+        if np.any(reduce_counts(vec, m)):
             return VERDICT_NOT
     return VERDICT_DS
 
@@ -186,19 +178,15 @@ def check_jacobi(field: FiniteField, m: int, modified: bool) -> str:
     params = DSParams.from_instance(field.q, m, modified)
     if not params.feasible:
         return VERDICT_INFEASIBLE
-    t = _tables(field)
-    inner = t.one_minus != 0
-    dlog_om = field.log_table[t.one_minus[inner]].astype(np.int64)
-    cls = t.dlog[inner] % m
-    in_h = dlog_om % m == 0
-    base = m * np.bincount(cls[in_h], minlength=m) - np.bincount(cls, minlength=m)
+    base = _row_sum_counts(field, m)
+    lneg = _tables(field).dlog_neg_one
     for s in _orbit_reps(m):
         vec = _decimate(base, s, m)
         vec[0] -= 1
         if modified:
             vec[0] += m
-            vec[(s * t.dlog_neg_one) % m] += m
-        if np.any(_reduce_counts(vec, m)):
+            vec[(s * lneg) % m] += m
+        if np.any(reduce_counts(vec, m)):
             return VERDICT_NOT
     return VERDICT_DS
 
@@ -239,7 +227,7 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
         lhs = m * _decimate(m1, s, m) - _decimate(m2, s, m) - _decimate(m3, s, m)
         gs = _decimate(gvec, s, m)
         rhs = gs + np.roll(gs, (s * lneg) % m, axis=0)
-        if not _mixed_counts_zero(lhs - scale * rhs, m, p):
+        if np.any(reduce_counts(reduce_counts(lhs - scale * rhs, p).T, m)):
             return VERDICT_NOT
     return VERDICT_DS
 
@@ -250,14 +238,8 @@ def difference_counts(field: FiniteField, m: int, gamma) -> tuple[int, int, int]
     code = gamma.code if isinstance(gamma, FFElement) else int(gamma)
     if code == 0:
         raise ZeroGamma("gamma must be nonzero")
-    if (field.q - 1) % m != 0:
-        raise OrderDoesNotDivide(f"m={m} does not divide q-1")
     h = cyclotomic_class(field, m, False)
-    t = _tables(field)
-    om = t.one_minus[_h_positions(field, m)]
-    a_cls = np.bincount(field.log_table[om[om != 0]].astype(np.int64) % m,
-                        minlength=m)
-    a = int(a_cls[int(field.log_table[code]) % m])
+    a = int(_class_sum_counts(field, m)[int(field.log_table[code]) % m])
     b_vec = _difference_count_vector(field, h.codes)
     b = int(b_vec[code])
     mod = cyclotomic_class(field, m, True)
@@ -317,18 +299,17 @@ def multiplier_check(field: FiniteField, cls: CyclotomicClass, t: int) -> bool:
 
 
 def run_all_checkers(field: FiniteField, m: int, modified: bool) -> dict:
-    """All four verdicts for one instance; gauss reports "skipped" when its
-    count tensors exceed the configured budget."""
+    """All four verdicts for one instance; a route reports "skipped" when
+    the instance exceeds its configured bound (the ring order, or the
+    gauss count-tensor budget)."""
     cls = cyclotomic_class(field, m, modified)
-    out = {
-        "direct": check_direct(field, cls).verdict,
-        "charsum": check_charsum(field, m, modified),
-        "jacobi": check_jacobi(field, m, modified),
-    }
-    try:
-        out["gauss"] = check_gauss(field, m, modified)
-    except BoundExceeded:
-        out["gauss"] = "skipped"
+    out = {"direct": check_direct(field, cls).verdict}
+    for name, check in (("charsum", check_charsum), ("jacobi", check_jacobi),
+                        ("gauss", check_gauss)):
+        try:
+            out[name] = check(field, m, modified)
+        except BoundExceeded:
+            out[name] = "skipped"
     return out
 
 
@@ -399,8 +380,7 @@ def _scan_rows_for_q(p: int, e: int, q: int, m_set, modified_flags,
             if full_methods:
                 agreed = run_all_checkers(field, m, modified)
                 methods = [name for name, v in agreed.items()
-                           if v == report.verdict
-                           or (name == "gauss" and v == "skipped")]
+                           if v in (report.verdict, "skipped")]
             family = report.family
             if report.verdict == VERDICT_DS and family is None \
                     and not params.trivial:

@@ -210,7 +210,7 @@ class FiniteField:
                 c //= p
             if _is_irreducible(f, p):
                 return tuple(f)
-        raise AssertionError("no irreducible polynomial found")
+        raise ArithmeticError("no irreducible polynomial found")
 
     def _mul_codes_slow(self, a: int, b: int) -> int:
         p, e = self.p, self.e
@@ -242,7 +242,8 @@ class FiniteField:
             if self._order_is_full(code):
                 gen = code
                 break
-        assert gen is not None
+        if gen is None:
+            raise ArithmeticError(f"no element of order {q - 1} in F_{q}")
         self.generator_code = gen
         exp = np.zeros(q - 1, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
@@ -258,7 +259,8 @@ class FiniteField:
                 exp[i] = acc
                 log[acc] = i
                 acc = self._mul_codes_slow(acc, gen)
-        assert acc == 1, "generator order is not q-1"
+        if acc != 1:
+            raise ArithmeticError("generator order is not q-1")
         self.exp_table = exp
         self.log_table = log
 
@@ -275,7 +277,8 @@ class FiniteField:
                 for j in range(e):
                     acc[j] = (acc[j] + (x // p ** j) % p) % p
                 x = self._pow_code_slow(x, p)
-            assert all(c == 0 for c in acc[1:]), "trace left the prime subfield"
+            if any(acc[1:]):
+                raise ArithmeticError("trace left the prime subfield")
             out.append(acc[0])
         return tuple(out)
 

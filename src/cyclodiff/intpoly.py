@@ -218,18 +218,35 @@ def squarefree_part(f: IntPoly) -> IntPoly:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial_unbounded(n: int) -> IntPoly:
-    """Phi_n by iterated exact division of x^n - 1 by Phi_d, d | n, d < n.
+    """Phi_n as the Moebius product of (1 - x^d)^mu(n/d) over d | n.
+
+    The product is an exact polynomial of degree phi(n), so every factor
+    is applied as a power series truncated past that degree: multiplying
+    by 1 - x^d subtracts a shifted copy, dividing adds one back.  For
+    n > 1 the signs of the factors x^d - 1 cancel.
 
     >>> cyclotomic_polynomial_unbounded(12)
     IntPoly([1, 0, -1, 0, 1])
     """
     if n < 1:
         raise ValueError("n must be positive")
-    f = IntPoly((-1,) + (0,) * (n - 1) + (1,))
-    for d in range(1, n):
-        if n % d == 0:
-            f = f.divexact(cyclotomic_polynomial_unbounded(d))
-    return f
+    if n == 1:
+        return IntPoly((-1, 1))
+    top = euler_phi(n)
+    c = [1] + [0] * top
+    factors = [(n, 1)]                  # (d, mu(n/d)) for squarefree n/d
+    for p in prime_factors(n):
+        factors += [(d // p, -mu) for d, mu in factors]
+    for d, mu in factors:
+        if d > top:
+            continue
+        if mu == 1:
+            for i in range(top, d - 1, -1):
+                c[i] -= c[i - d]
+        else:
+            for i in range(d, top + 1):
+                c[i] += c[i - d]
+    return IntPoly(c)
 
 
 def euler_phi(n: int) -> int:

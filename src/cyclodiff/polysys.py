@@ -566,7 +566,9 @@ def theta_reduce(m: int, theta: int) -> tuple[int, int]:
         r += step
     if r % 2 == 0:
         r += half
-    assert gcd(r, m) == 1 and (r * d - theta) % half == 0
+    if gcd(r, m) != 1 or (r * d - theta) % half != 0:
+        raise ArithmeticError(
+            f"no unit carries theta={theta} to d={d} at m={m}")
     return r, d
 
 

@@ -1,12 +1,16 @@
 """Character sums: Gauss, Jacobi, class sums, and the identity suite."""
 
+from collections import Counter
+
 import pytest
 
-from cyclodiff.charsums import (character, chi_eval, gauss_sum, h_class_sum,
+from cyclodiff.charsums import (_class_pairs, _class_sum_counts, character,
+                                chi_eval, gauss_sum, h_class_sum,
                                 jacobi_row_sum, jacobi_sum,
-                                verify_identity_suite)
+                                verify_identity_suite,
+                                verify_jacobi_duplication)
 from cyclodiff.cyclotomic import CycInt, cyc_lift, embed
-from cyclodiff.errors import OrderDoesNotDivide
+from cyclodiff.errors import OddOrder, OrderDoesNotDivide
 from cyclodiff.ff import dlog, make_field
 
 
@@ -105,6 +109,50 @@ def test_jacobi_row_sum_difference_set_case():
     chi = character(make_field(37), 4)
     for s in (1, 2, 3):
         assert jacobi_row_sum(chi, s).value.as_integer() == 1
+
+
+def test_class_pairs_count_literally():
+    # prime fields, extension fields (e > 1) and characteristic 2
+    for p, e in [(13, 1), (3, 2), (2, 4), (2, 5), (5, 2), (3, 3)]:
+        field = make_field(p, e)
+        q = field.q
+        for m in [d for d in range(1, q) if (q - 1) % d == 0]:
+            want = Counter()
+            class_sum = [0] * m
+            for code in range(2, q):
+                alpha = field.element(code)
+                i = dlog(field, alpha) % m
+                j = dlog(field, field.one - alpha) % m
+                want[i, j] += 1
+                if i == 0:
+                    class_sum[j] += 1
+            a, b = _class_pairs(field, m)
+            assert Counter(zip(a.tolist(), b.tolist())) == want, (q, m)
+            assert _class_sum_counts(field, m).tolist() == class_sum, (q, m)
+
+
+def test_jacobi_row_sum_matches_literal_sum():
+    # orders on both sides of 64, where the row sum used to switch from
+    # adding Jacobi sums literally to the collapsed count
+    for q, m in [(13, 4), (16, 5), (9, 8), (193, 64), (131, 65), (67, 66),
+                 (97, 96)]:
+        p = {16: 2, 9: 3}.get(q, q)
+        field = make_field(p, {16: 4, 9: 2}.get(q, 1))
+        chi = character(field, m)
+        for s in {1, 2, m // 2, m - 1}:
+            literal = CycInt.zero(m)
+            for t in range(1, m):
+                literal = literal + jacobi_sum(chi, s, t).value
+            assert jacobi_row_sum(chi, s).value == literal, (q, m, s)
+
+
+def test_identity_suite_requires_a_dividing_order():
+    with pytest.raises(OrderDoesNotDivide):
+        verify_identity_suite(make_field(7), 4)
+    with pytest.raises(OrderDoesNotDivide):
+        verify_jacobi_duplication(make_field(7), 4)
+    with pytest.raises(OddOrder):
+        verify_jacobi_duplication(make_field(7), 3)
 
 
 def test_identity_suite_small_fields():

@@ -1,13 +1,16 @@
 """Cyclotomic integers: reduced power-basis arithmetic and numerics."""
 
 import cmath
+import random
 
+import numpy as np
 import pytest
+import sympy
 
 from cyclodiff.config import current_limits
 from cyclodiff.cyclotomic import (ComplexInterval, CycInt, CycNum, cyc_arith,
                                   cyc_lift, cyclotomic_polynomial, embed,
-                                  galois, zeta_interval)
+                                  galois, reduce_counts, zeta_interval)
 from cyclodiff.errors import (BoundExceeded, NotAMultiple, NotCoprime,
                               OrderMismatch)
 from cyclodiff.intpoly import cyclotomic_polynomial_unbounded
@@ -20,6 +23,66 @@ def _close(a: CycInt, z: complex, eps=1e-12) -> bool:
 def test_bounded_matches_unbounded():
     for n in (1, 2, 6, 12, 30, 100):
         assert cyclotomic_polynomial(n) == cyclotomic_polynomial_unbounded(n)
+
+
+def _sympy_phi(n):
+    x = sympy.Symbol("x")
+    return sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+
+
+def _sympy_reduce(vec, n):
+    """Power-basis coefficients of sum vec[k] x^k mod Phi_n, by sympy."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed([int(c) for c in vec])), x)
+    rem = sympy.rem(poly, _sympy_phi(n)).all_coeffs()[::-1]
+    phi = _sympy_phi(n).degree()
+    return rem + [0] * (phi - len(rem)) if any(rem) else [0] * phi
+
+
+def test_phi_matches_sympy():
+    # all n <= 300, then orders with large coefficients or many divisors
+    for n in list(range(1, 301)) + [385, 1155, 1365, 1536, 1785, 2002, 2048]:
+        want = _sympy_phi(n).all_coeffs()[::-1]
+        assert list(cyclotomic_polynomial_unbounded(n).coeffs) == want, n
+
+
+def test_reduce_counts_matches_sympy_rem():
+    rng = random.Random(5)
+    for n in (1, 2, 7, 12, 30, 105, 128, 210, 385):
+        for _ in range(3):
+            vec = [rng.randint(-50, 50) for _ in range(n)]
+            got = reduce_counts(np.array(vec), n)
+            assert got.tolist() == _sympy_reduce(vec, n), n
+        batch = np.array([[rng.randint(-9, 9) for _ in range(n)]
+                          for _ in range(4)])
+        got = reduce_counts(batch, n)
+        assert got.tolist() == [_sympy_reduce(row, n) for row in batch]
+
+
+def test_reduce_counts_python_int_path():
+    # 2^62 - 1 times the row bound overflows int64, so Python ints are used
+    n = 105
+    vec = np.zeros(n, dtype=np.int64)
+    vec[[3, 48, 104]] = [2 ** 62 - 1, -(2 ** 62 - 1), 7]
+    got = reduce_counts(vec, n)
+    assert got.dtype == object
+    assert got.tolist() == _sympy_reduce(vec.tolist(), n)
+    big = [2 ** 70 + k for k in range(n)]
+    assert reduce_counts(np.array(big, dtype=object), n).tolist() \
+        == _sympy_reduce(big, n)
+
+
+def test_huge_coefficients_stay_exact():
+    n = 15
+    a = CycInt(n, [2 ** 61 * (k + 1) for k in range(8)])
+    b = CycInt.root(n, 4) * 3 - CycInt.integer(2 ** 40, n)
+    x = sympy.Symbol("x")
+    prod = sympy.Poly(list(reversed(a.coeffs)), x) * \
+        sympy.Poly(list(reversed(b.coeffs)), x)
+    want = _sympy_reduce(prod.all_coeffs()[::-1], n)
+    assert list((a * b).coeffs) == want
+    assert galois(galois(a, 7), 13) == a          # 7 * 13 = 1 mod 15
+    assert cyc_lift(a, 45) * 2 == cyc_lift(a * 2, 45)
 
 
 def test_roots_embed_on_the_unit_circle():

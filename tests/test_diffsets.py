@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cyclodiff.cli import run as cli_run
 from cyclodiff.diffsets import (ClassificationTable, DSParams, VERDICT_DS,
                                 VERDICT_INFEASIBLE, VERDICT_NOT, check_charsum,
                                 check_direct, check_gauss, check_jacobi,
@@ -104,6 +105,19 @@ def test_gauss_skips_past_order_budget():
     verdicts = run_all_checkers(field, 102, False)
     assert verdicts["gauss"] == "skipped"
     assert verdicts["direct"] == VERDICT_DS      # H = {1}, trivially lambda=0
+
+
+def test_routes_past_the_ring_bound_are_skipped():
+    # m = 2052 exceeds the ring bound 2048; only direct can decide
+    field = make_field(2053)
+    verdicts = run_all_checkers(field, 2052, False)
+    assert verdicts == {"direct": VERDICT_DS, "charsum": "skipped",
+                        "jacobi": "skipped", "gauss": "skipped"}
+    table = scan([2052], 2053, full_methods=True)
+    assert [(r["q"], r["verdict"], r["methods"]) for r in table.rows] == [
+        (2053, VERDICT_DS, ["direct", "charsum", "jacobi", "gauss"])]
+    assert cli_run(["ds", "scan", "--m", "2052", "--q-max", "2053",
+                    "--full-methods"]) == 0
 
 
 def test_difference_counts_brute_force():

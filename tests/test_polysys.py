@@ -265,4 +265,9 @@ def test_planar_probe_values():
     assert planar_probe(10) == {"m": 10, "q": 111, "q_is_prime": False}
     big = planar_probe(12)
     assert big["q_is_prime"] and not big["two_is_power"]
-    assert big["scaled_exact_ok"] is None
+    # Z[zeta_1884] lies inside the ring bound, so the Gauss vector is checked
+    assert big["scaled_exact_ok"] is False
+    # Z[zeta_2954] does not: the cheap flags settle the probe alone
+    past = planar_probe(14)
+    assert past["q_is_prime"] and not past["two_is_power"]
+    assert past["scaled_exact_ok"] is None
