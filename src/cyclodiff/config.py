@@ -10,7 +10,8 @@ positive and finite.
 
 One bound, cyclotomic_n_max, covers every ring Z[zeta_n] the package
 works in: reduced CycInt values and the internal count-vector
-reductions alike.  Its default, 2048, lets the charsum and jacobi routes
+reductions alike, except that a count vector of prime order p reduces
+by one fold and is not held to it.  Its default, 2048, lets the charsum and jacobi routes
 decide every instance with q <= 2049.  The keys reduction_n_max and
 jacobi_direct_m_max of earlier versions no longer exist and are rejected.
 """

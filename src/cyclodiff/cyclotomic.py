@@ -42,15 +42,19 @@ def reduction_rows(n: int) -> np.ndarray:
     The powers below phi(n) are basis elements already, and x^n = 1 mod
     Phi_n, so these rows reduce any exponent.  Read-only and cached for
     the last few orders only, so a scan cannot pin one table per order.
+    A prime n needs one row, no larger than the vectors it reduces, so
+    only composite orders are held to cyclotomic_n_max.
     """
-    _check_order(n)
+    if euler_phi(n) != n - 1:
+        _check_order(n)
     return _build_rows(n)
 
 
 @functools.lru_cache(maxsize=4)
 def _build_rows(n: int) -> np.ndarray:
-    coeffs = cyclotomic_polynomial_unbounded(n).coeffs
-    phi = len(coeffs) - 1
+    phi = euler_phi(n)   # Phi_n = 1 + x + ... + x^(n-1) when n is prime
+    coeffs = ((1,) * n if phi == n - 1
+              else cyclotomic_polynomial_unbounded(n).coeffs)
     head = -np.array(coeffs[:phi], dtype=np.int64)   # x^phi, as Phi_n is monic
     rows = np.zeros((n - phi, phi), dtype=np.int64)
     row = head
@@ -75,7 +79,7 @@ def reduce_counts(vec, n: int) -> np.ndarray:
     phi = rows.shape[1]
     vec = np.asarray(vec)
     top = max(int(vec.max(initial=0)), -int(vec.min(initial=0)))
-    if top * n * _ROW_MAX < 2 ** 62:
+    if top * (1 + rows.shape[0] * _ROW_MAX) < 2 ** 62:
         vec = vec.astype(np.int64, copy=False)
         return vec[..., :phi] + vec[..., phi:] @ rows
     vec = vec.astype(object)

@@ -163,6 +163,12 @@ def test_identity_suite_small_fields():
         assert all(results.values()), (p, e, m, results)
 
 
+def test_identity_suite_past_the_ring_bound_in_p():
+    # p = 2053 > cyclotomic_n_max: the zeta_p reductions are one fold
+    results = verify_identity_suite(make_field(2053), 4)
+    assert all(results.values()), results
+
+
 def test_gauss_sum_numeric_modulus():
     field = make_field(11)
     chi = character(field, 5)

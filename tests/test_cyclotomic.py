@@ -72,6 +72,19 @@ def test_reduce_counts_python_int_path():
         == _sympy_reduce(big, n)
 
 
+def test_prime_orders_reduce_past_the_ring_bound():
+    # Phi_p needs one row, so a prime past cyclotomic_n_max still reduces;
+    # a composite order past it is refused
+    bound = current_limits().cyclotomic_n_max
+    rng = random.Random(7)
+    for p in (2053, 5477):
+        vec = np.array([rng.randint(-9, 9) for _ in range(p)])
+        got = reduce_counts(vec, p)
+        assert got.tolist() == (vec[:-1] - vec[-1]).tolist()
+    with pytest.raises(BoundExceeded):
+        reduce_counts(np.zeros(bound + 2, dtype=np.int64), bound + 2)
+
+
 def test_huge_coefficients_stay_exact():
     n = 15
     a = CycInt(n, [2 ** 61 * (k + 1) for k in range(8)])

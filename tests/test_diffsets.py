@@ -107,6 +107,15 @@ def test_gauss_skips_past_order_budget():
     assert verdicts["direct"] == VERDICT_DS      # H = {1}, trivially lambda=0
 
 
+def test_gauss_decides_prime_fields_past_the_ring_bound():
+    # p = 2053 > cyclotomic_n_max; gauss reduces in zeta_p by one fold
+    field = make_field(2053)
+    assert check_gauss(field, 4, False) == VERDICT_NOT
+    assert run_all_checkers(field, 4, False) == {
+        "direct": VERDICT_NOT, "charsum": VERDICT_NOT,
+        "jacobi": VERDICT_NOT, "gauss": VERDICT_NOT}
+
+
 def test_routes_past_the_ring_bound_are_skipped():
     # m = 2052 exceeds the ring bound 2048; only direct can decide
     field = make_field(2053)
