@@ -340,6 +340,16 @@ def verify_row_sums(field: FiniteField, m: int) -> bool:
     return True
 
 
+def _twisted_class_sum_counts(s_mat: np.ndarray, c_gamma: int) -> np.ndarray:
+    """Exponent counts of the sum over s of zeta^(-s c_gamma) S_s, where
+    row s of s_mat holds the counts of S_s: out[j] is the sum over s of
+    s_mat[s, j + s c_gamma mod m], one (m, m) gather."""
+    m = len(s_mat)
+    rows = np.arange(m)[:, None]
+    cols = (np.arange(m)[None, :] + rows * c_gamma) % m
+    return s_mat[rows, cols].sum(axis=0)
+
+
 def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     """The three counting facts behind the class sums, exhaustively in gamma.
 
@@ -375,9 +385,7 @@ def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     s_mat = np.array([_decimate(a_cls, s, m) for s in range(m)])
     s_mat[0, 0] += 1  # alpha = 1 term of the trivial power
     for c_gamma in range(m):
-        vec = np.zeros(m, dtype=np.int64)
-        for s in range(m):
-            np.add.at(vec, (np.arange(m) - s * c_gamma) % m, s_mat[s])
+        vec = _twisted_class_sum_counts(s_mat, c_gamma)
         vec[0] -= m * int(a_cls[c_gamma]) + 1
         if np.any(reduce_counts(vec, m)):
             return False

@@ -298,12 +298,11 @@ def multiplier_check(field: FiniteField, cls: CyclotomicClass, t: int) -> bool:
     return False
 
 
-def run_all_checkers(field: FiniteField, m: int, modified: bool) -> dict:
-    """All four verdicts for one instance; a route reports "skipped" when
-    the instance exceeds its configured bound (the ring order, or the
-    gauss count-tensor budget)."""
-    cls = cyclotomic_class(field, m, modified)
-    out = {"direct": check_direct(field, cls).verdict}
+def _other_verdicts(field: FiniteField, m: int, modified: bool) -> dict:
+    """The charsum, jacobi and gauss verdicts for one instance; a route
+    reports "skipped" when the instance exceeds its configured bound (the
+    ring order, or the gauss count-tensor budget)."""
+    out = {}
     for name, check in (("charsum", check_charsum), ("jacobi", check_jacobi),
                         ("gauss", check_gauss)):
         try:
@@ -311,6 +310,14 @@ def run_all_checkers(field: FiniteField, m: int, modified: bool) -> dict:
         except BoundExceeded:
             out[name] = "skipped"
     return out
+
+
+def run_all_checkers(field: FiniteField, m: int, modified: bool) -> dict:
+    """All four verdicts for one instance; see _other_verdicts for
+    "skipped"."""
+    cls = cyclotomic_class(field, m, modified)
+    return {"direct": check_direct(field, cls).verdict,
+            **_other_verdicts(field, m, modified)}
 
 
 # -- scanning --------------------------------------------------------------------
@@ -376,21 +383,26 @@ def _scan_rows_for_q(p: int, e: int, q: int, m_set, modified_flags,
             if not params.feasible:
                 continue
             report = check_direct(field, cyclotomic_class(field, m, modified))
-            methods = ["direct"]
+            methods, skipped = ["direct"], []
             if full_methods:
-                agreed = run_all_checkers(field, m, modified)
-                methods = [name for name, v in agreed.items()
-                           if v in (report.verdict, "skipped")]
+                for name, v in _other_verdicts(field, m, modified).items():
+                    if v == report.verdict:
+                        methods.append(name)
+                    elif v == "skipped":
+                        skipped.append(name)
             family = report.family
             if report.verdict == VERDICT_DS and family is None \
                     and not params.trivial:
                 family = "unexplained"
-            rows.append({
+            row = {
                 "q": q, "p": p, "e": e, "m": m, "modified": modified,
                 "v": params.v, "k": params.k, "lambda": params.lam,
                 "n": params.n, "verdict": report.verdict,
                 "family": family, "methods": methods,
-            })
+            }
+            if skipped:
+                row["skipped"] = skipped
+            rows.append(row)
     return rows
 
 

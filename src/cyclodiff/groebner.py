@@ -3,13 +3,18 @@
 The target workload is the twist-indexed quadratic systems of polysys:
 append an aggregate variable, eliminate everything else, and read off
 the univariate polynomial whose roots are the admissible g0 values.
-Coefficients are Fractions internally but every stored polynomial is
-content-stripped to primitive integer form, which keeps the arithmetic
-honest and the intermediate growth observable.
+Basis arithmetic is in integers: generators are stored as primitive
+integer polynomials, and reduction is fraction-free, scaling the working
+polynomial by the cofactor of each leading coefficient instead of
+dividing by it.  Pairs are ranked once, when they are created, and kept
+in a heap, so selection costs a logarithm rather than a pass over every
+pending pair.  Stored coefficients are measured after content removal,
+which keeps the intermediate growth observable.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -89,7 +94,7 @@ class QPoly:
         return cls.from_dict(p.nvars, dict(p.terms))
 
     def as_dict(self) -> dict:
-        return {e: Fraction(c) for e, c in self.terms}
+        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -124,30 +129,60 @@ def _strip_content(d: dict) -> dict:
 
 
 def _max_bits(d: dict) -> int:
-    out = 0
-    for c in d.values():
-        c = abs(int(c)) if not isinstance(c, Fraction) else max(
-            abs(c.numerator), c.denominator)
-        out = max(out, int(c).bit_length())
-    return out
+    return max(abs(c).bit_length() for c in d.values())
 
 
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _reduce_full(f: dict, gens: list, order: MonomialOrder) -> dict:
-    """Remainder of f on division by gens; every term of the remainder is
-    irreducible.  gens entries are (terms dict, leading exps, leading coeff).
+def _gen_triple(d: dict, order: MonomialOrder) -> tuple:
+    """(terms, leading exps, leading coeff) of an int-coefficient dict."""
+    lead = max(d, key=order.key)
+    return d, lead, d[lead]
+
+
+# The reducer reads the clock on its first step and then once per this
+# many steps, so a deadline is overrun by at most that many steps.
+_DEADLINE_STEPS = 256
+
+
+def _reduce_full(f: dict, gens: list, order: MonomialOrder,
+                 deadline: Optional[float] = None) -> tuple[dict, int]:
+    """Fraction-free remainder of the int polynomial f on division by gens.
+
+    gens entries are (terms dict, leading exps, leading coeff) with int
+    coefficients.  Returns (r, mult): mult is a positive integer, every
+    term of r is irreducible, and r is exactly mult times the remainder
+    that the same division over Q leaves.  To cancel a leading term c
+    against a generator with leading coefficient glc, the working
+    polynomial and the remainder so far are scaled by glc / gcd(c, glc)
+    and c / gcd(c, glc) times the shifted generator is subtracted.
+    Past deadline (a time.monotonic() value) it raises LimitExceeded.
     """
     okey = order.key
     remainder: dict = {}
-    work = {e: Fraction(c) for e, c in f.items() if c != 0}
+    work = {e: c for e, c in f.items() if c}
+    mult = 1
+    steps = 0
     while work:
+        if deadline is not None and steps % _DEADLINE_STEPS == 0 \
+                and time.monotonic() > deadline:
+            raise LimitExceeded(f"deadline passed after {steps} reduction "
+                                f"steps")
+        steps += 1
         lead = max(work, key=okey)
         for gterms, glead, glc in gens:
             if _divides(glead, lead):
-                factor = work[lead] / glc
+                c = work[lead]
+                g = gcd(c, glc)
+                scale, factor = glc // g, c // g
+                if scale < 0:
+                    scale, factor = -scale, -factor
+                if scale != 1:
+                    mult *= scale
+                    work = {e: scale * v for e, v in work.items()}
+                    remainder = {e: scale * v for e, v in remainder.items()}
                 shift = tuple(a - b for a, b in zip(lead, glead))
                 for ge, gc in gterms.items():
                     key = tuple(a + b for a, b in zip(ge, shift))
@@ -159,22 +194,25 @@ def _reduce_full(f: dict, gens: list, order: MonomialOrder) -> dict:
                 break
         else:
             remainder[lead] = work.pop(lead)
-    return remainder
+    return remainder, mult
 
 
 def _spoly(a, b, order: MonomialOrder) -> dict:
-    """S-polynomial of two (terms, lead, lc) triples."""
+    """S-polynomial of two int (terms, lead, lc) triples, times
+    ac * bc / gcd(ac, bc) so that no coefficient is divided."""
     (at, al, ac), (bt, bl, bc) = a, b
     lcm = tuple(max(x, y) for x, y in zip(al, bl))
     sa = tuple(l - x for l, x in zip(lcm, al))
     sb = tuple(l - x for l, x in zip(lcm, bl))
+    g = gcd(ac, bc)
+    fa, fb = bc // g, ac // g
     out: dict = {}
     for e, c in at.items():
         key = tuple(x + y for x, y in zip(e, sa))
-        out[key] = out.get(key, 0) + Fraction(c) / ac
+        out[key] = out.get(key, 0) + fa * c
     for e, c in bt.items():
         key = tuple(x + y for x, y in zip(e, sb))
-        out[key] = out.get(key, 0) - Fraction(c) / bc
+        out[key] = out.get(key, 0) - fb * c
     return {e: c for e, c in out.items() if c}
 
 
@@ -195,6 +233,10 @@ class GBasis:
         return (len(self.generators) == 1
                 and len(self.generators[0].terms) == 1
                 and self.generators[0].terms[0][0] == (0,) * self.nvars)
+
+
+def _basis_triples(basis: GBasis) -> list:
+    return [_gen_triple(q.as_dict(), basis.order) for q in basis.generators]
 
 
 def _as_qpolys(system) -> tuple[int, list]:
@@ -225,16 +267,13 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
     timeout = timeout or limits.gb_timeout
     nvars, qpolys = _as_qpolys(system)
     t0 = time.monotonic()
+    deadline = t0 + timeout
     stats = {"spairs_reduced": 0, "spairs_discarded": 0,
              "max_coeff_bits": 0, "generators": 0, "seconds": 0.0}
 
-    basis: list = []             # (terms dict, lead exps, lead coeff)
-    for qp in qpolys:
-        if qp.is_zero():
-            continue
-        d = {e: Fraction(c) for e, c in qp.terms}
-        lead = qp.leading(order)
-        basis.append((d, lead, d[lead]))
+    # (terms dict, lead exps, lead coeff), int coefficients
+    basis = [_gen_triple(qp.as_dict(), order) for qp in qpolys
+             if not qp.is_zero()]
 
     def lcm_of(i, j):
         return tuple(max(x, y) for x, y in zip(basis[i][1], basis[j][1]))
@@ -244,7 +283,19 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
         tie = ((i * 2654435761 + j * 40503) ^ seed) & 0xFFFFFFFF
         return (sum(lcm), order.key(lcm), tie)
 
-    pending = {(j, i) for i in range(len(basis)) for j in range(i)}
+    # a pair's rank is fixed once both generators exist, so each pair is
+    # ranked once, on creation; pending is the membership index that the
+    # chain criterion reads
+    queue: list = []
+    pending: set = set()
+
+    def add_pairs(new):
+        for t in range(new):
+            heapq.heappush(queue, (pair_rank(t, new), t, new))
+            pending.add((t, new))
+
+    for new in range(len(basis)):
+        add_pairs(new)
 
     def partial_basis():
         gens = tuple(QPoly.from_dict(nvars, d) for d, _, _ in basis)
@@ -255,12 +306,17 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
         stats["generators"] = len(basis)
         raise LimitExceeded(reason, stats=stats, partial=partial_basis())
 
-    while pending:
+    def reduce(f, gens):
+        try:
+            rem, _ = _reduce_full(f, gens, order, deadline)
+        except LimitExceeded:
+            bail(f"timeout after {timeout:.0f}s")
+        return _strip_content(rem)
+
+    while queue:
         if stats["spairs_reduced"] >= max_spairs:
             bail(f"S-pair budget {max_spairs} exhausted")
-        if time.monotonic() - t0 > timeout:
-            bail(f"timeout after {timeout:.0f}s")
-        i, j = min(pending, key=lambda ij: pair_rank(*ij))
+        _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
         li, lj = basis[i][1], basis[j][1]
         lcm = lcm_of(i, j)
@@ -282,20 +338,16 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
         if settled:
             stats["spairs_discarded"] += 1
             continue
-        s = _spoly(basis[i], basis[j], order)
-        rem = _reduce_full(s, basis, order)
+        rem = reduce(_spoly(basis[i], basis[j], order), basis)
         stats["spairs_reduced"] += 1
         if not rem:
             continue
-        rem = {e: Fraction(c) for e, c in _strip_content(rem).items()}
         bits = _max_bits(rem)
         stats["max_coeff_bits"] = max(stats["max_coeff_bits"], bits)
         if bits > max_coeff_bits:
             bail(f"coefficient growth {bits} bits exceeds {max_coeff_bits}")
-        lead = max(rem, key=order.key)
-        basis.append((rem, lead, rem[lead]))
-        new = len(basis) - 1
-        pending.update((t, new) for t in range(new))
+        basis.append(_gen_triple(rem, order))
+        add_pairs(len(basis) - 1)
 
     # minimalize: drop generators whose lead another lead divides
     keep = []
@@ -308,8 +360,7 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
     reduced = []
     for i, (d, li, lc) in enumerate(minimal):
         others = [minimal[k] for k in range(len(minimal)) if k != i]
-        rem = _reduce_full(d, others, order) if others else d
-        rem = _strip_content(rem)
+        rem = reduce(d, others) if others else _strip_content(d)
         if rem:
             reduced.append(rem)
     gens = tuple(sorted(
@@ -326,27 +377,17 @@ def normal_form(f: QPoly, basis: GBasis) -> QPoly:
     if f.nvars != basis.nvars:
         raise OrderMismatch(f"{f.nvars} variables against basis in "
                             f"{basis.nvars}")
-    gens = []
-    for q in basis.generators:
-        d = {e: Fraction(c) for e, c in q.terms}
-        lead = q.leading(basis.order)
-        gens.append((d, lead, d[lead]))
-    rem = _reduce_full({e: Fraction(c) for e, c in f.terms}, gens,
-                       basis.order)
+    rem, _ = _reduce_full(dict(f.terms), _basis_triples(basis), basis.order)
     return QPoly.from_dict(f.nvars, rem)
 
 
 def certify(basis: GBasis) -> bool:
     """Independent check: every S-polynomial reduces to zero."""
-    gens = []
-    for q in basis.generators:
-        d = {e: Fraction(c) for e, c in q.terms}
-        lead = q.leading(basis.order)
-        gens.append((d, lead, d[lead]))
+    gens = _basis_triples(basis)
     for i in range(len(gens)):
         for j in range(i):
             s = _spoly(gens[i], gens[j], basis.order)
-            if _reduce_full(s, gens, basis.order):
+            if _reduce_full(s, gens, basis.order)[0]:
                 return False
     return True
 
@@ -400,16 +441,14 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
                                max_power: int) -> Optional[IntPoly]:
     """Monic generator of {p in Q[y] : p(x_var) in ideal}, found as the
     first linear dependence among normal forms of successive powers."""
-    gens = []
-    for q in basis.generators:
-        d = {e: Fraction(c) for e, c in q.terms}
-        lead = q.leading(basis.order)
-        gens.append((d, lead, d[lead]))
+    gens = _basis_triples(basis)
     nv = basis.nvars
     rows: dict = {}                 # pivot monomial -> (vec, combo)
-    current = _reduce_full({(0,) * nv: Fraction(1)}, gens, basis.order)
+    # current is scale times the normal form of x_var^k, scale being the
+    # product of the reducer's multipliers so far
+    current, scale = _reduce_full({(0,) * nv: 1}, gens, basis.order)
     for k in range(max_power + 1):
-        vec = dict(current)
+        vec = {e: Fraction(c, scale) for e, c in current.items()}
         combo = [Fraction(0)] * k + [Fraction(1)]
         while vec:
             pivot = max(vec)
@@ -438,7 +477,8 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
             return IntPoly([int(c * den) for c in combo]).primitive()
         shifted = {e[:var] + (e[var] + 1,) + e[var + 1:]: c
                    for e, c in current.items()}
-        current = _reduce_full(shifted, gens, basis.order)
+        current, mult = _reduce_full(shifted, gens, basis.order)
+        scale *= mult
     return None
 
 

@@ -2,9 +2,11 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from cyclodiff.charsums import (_class_pairs, _class_sum_counts, character,
+from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
+                                _twisted_class_sum_counts, character,
                                 chi_eval, gauss_sum, h_class_sum,
                                 jacobi_row_sum, jacobi_sum,
                                 verify_identity_suite,
@@ -161,6 +163,22 @@ def test_identity_suite_small_fields():
         field = make_field(p, e)
         results = verify_identity_suite(field, m)
         assert all(results.values()), (p, e, m, results)
+
+
+def test_twisted_class_sums_match_the_loop():
+    # reference: scatter each S_s, shifted by -s c, one row at a time
+    for p, e in [(13, 1), (3, 2), (2, 4), (31, 1), (13, 2)]:
+        field = make_field(p, e)
+        for m in [d for d in range(2, field.q) if (field.q - 1) % d == 0]:
+            a_cls = _class_sum_counts(field, m)
+            s_mat = np.array([_decimate(a_cls, s, m) for s in range(m)])
+            s_mat[0, 0] += 1
+            for c in range(m):
+                want = np.zeros(m, dtype=np.int64)
+                for s in range(m):
+                    np.add.at(want, (np.arange(m) - s * c) % m, s_mat[s])
+                got = _twisted_class_sum_counts(s_mat, c)
+                assert np.array_equal(got, want), (p, e, m, c)
 
 
 def test_identity_suite_past_the_ring_bound_in_p():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cyclodiff import diffsets
 from cyclodiff.cli import run as cli_run
 from cyclodiff.diffsets import (ClassificationTable, DSParams, VERDICT_DS,
                                 VERDICT_INFEASIBLE, VERDICT_NOT, check_charsum,
@@ -124,7 +125,8 @@ def test_routes_past_the_ring_bound_are_skipped():
                         "jacobi": "skipped", "gauss": "skipped"}
     table = scan([2052], 2053, full_methods=True)
     assert [(r["q"], r["verdict"], r["methods"]) for r in table.rows] == [
-        (2053, VERDICT_DS, ["direct", "charsum", "jacobi", "gauss"])]
+        (2053, VERDICT_DS, ["direct"])]
+    assert table.rows[0]["skipped"] == ["charsum", "jacobi", "gauss"]
     assert cli_run(["ds", "scan", "--m", "2052", "--q-max", "2053",
                     "--full-methods"]) == 0
 
@@ -219,6 +221,22 @@ def test_scan_finds_m16_3():
     assert [(r["q"], r["family"]) for r in nontrivial] == [(16, "M16_3")]
     assert set(nontrivial[0]["methods"]) == {"direct", "charsum", "jacobi",
                                              "gauss"}
+    # only a row with a skipped route carries the key
+    assert not any("skipped" in r for r in table.rows)
+
+
+def test_full_methods_scan_counts_differences_once(monkeypatch):
+    calls = []
+
+    def counting(field, cls):
+        calls.append((field.q, cls.m, cls.modified))
+        return check_direct(field, cls)
+
+    monkeypatch.setattr(diffsets, "check_direct", counting)
+    table = scan([3], 100, full_methods=True)
+    assert len(table) == 12
+    assert sorted(calls) == sorted((r["q"], r["m"], r["modified"])
+                                   for r in table.rows)
 
 
 def test_scan_rows_are_feasible_only_and_sorted():

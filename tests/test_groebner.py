@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from cyclodiff import groebner
 from cyclodiff.errors import (LimitExceeded, NotZeroDimensional,
                               OrderMismatch, UncertifiedBasis)
 from cyclodiff.groebner import (GREVLEX, LEX, GBasis, MonomialOrder, QPoly,
@@ -135,6 +136,28 @@ def test_limit_exceeded_carries_partial():
         is_zero_dimensional(exc.partial)
     with pytest.raises(UncertifiedBasis):
         staircase(exc.partial)
+
+
+def test_timeout_stops_inside_the_reducer(monkeypatch):
+    raised_inside = []
+    reduce_full = groebner._reduce_full
+
+    def spy(*args, **kwargs):
+        try:
+            return reduce_full(*args, **kwargs)
+        except LimitExceeded:
+            raised_inside.append(args[0])
+            raise
+
+    monkeypatch.setattr(groebner, "_reduce_full", spy)
+    with pytest.raises(LimitExceeded) as info:
+        buchberger(gen_ghat_system(6, 0), timeout=1e-9)
+    exc = info.value
+    assert "timeout" in str(exc)
+    assert len(raised_inside) == 1
+    assert exc.stats["spairs_reduced"] == 0
+    assert isinstance(exc.partial, GBasis) and not exc.partial.certified
+    assert len(exc.partial) == len(gen_ghat_system(6, 0).polys)
 
 
 # -- normal form and quotient data ---------------------------------------------------
