@@ -115,12 +115,7 @@ def _tables(field: FiniteField) -> SimpleNamespace:
     q = field.q
     codes = np.arange(1, q, dtype=np.int64)
     dlog = field.log_table[1:q].astype(np.int64)
-    if field.e == 1:
-        trace_all = np.arange(q, dtype=np.int64)
-    else:
-        mat = field.codes_to_matrix(np.arange(q, dtype=np.int64))
-        weights = np.array(field._basis_traces, dtype=np.int64)
-        trace_all = (mat @ weights) % field.p
+    trace_all = field.codes_trace(np.arange(q, dtype=np.int64))
     one_minus = field.codes_sub(np.ones_like(codes), codes)
     inner = one_minus != 0
     neg_one = int(field.codes_sub(np.zeros(1, dtype=np.int64),
@@ -313,9 +308,7 @@ def verify_jacobi_duplication(field: FiniteField, m: int) -> bool:
     _require_order(field, m)
     if m % 2:
         raise OddOrder(f"duplication needs an even order, got m={m}")
-    four = field.element(1) + field.element(1)
-    four = (four + four).code
-    dlog4 = int(field.log_table[four])
+    dlog4 = int(field.log_table[field.element(4 % field.p).code])
     a, b = _class_pairs(field, m)
     half = m // 2
     for s in range(1, m):

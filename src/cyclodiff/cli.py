@@ -18,10 +18,9 @@ from . import polysys as ps
 from .charsums import character, gauss_sum, h_class_sum, jacobi_sum
 from .config import check_limit_values, reload_limits
 from .cyclotomic import embed
-from .diffsets import (DSParams, VERDICT_DS, check_charsum, check_direct,
-                       check_gauss, check_jacobi, cyclotomic_class,
-                       known_family_match, scan)
-from .errors import BoundExceeded, CyclodiffError, LimitExceeded, NotPrime
+from .diffsets import (DSParams, ROUTES, VERDICT_DS, cyclotomic_class,
+                       known_family_match, run_routes, scan)
+from .errors import CyclodiffError, LimitExceeded, NotPrime
 from .ff import make_field
 from .intpoly import IntPoly
 from .tables import f_table, nonexistence_gate, product_check
@@ -29,9 +28,6 @@ from .tables import f_table, nonexistence_gate, product_check
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISCREPANCY = 2
-
-_CHECKERS = {"direct": check_direct, "charsum": check_charsum,
-             "jacobi": check_jacobi, "gauss": check_gauss}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,19 +165,11 @@ def _cmd_ds_check(args) -> int:
     field = _field_from_q(args.q)
     params = DSParams.from_instance(args.q, args.m, args.modified)
     names = [w.strip() for w in args.methods.split(",") if w.strip()]
-    unknown = sorted(set(names) - set(_CHECKERS))
+    unknown = sorted(set(names) - set(ROUTES))
     if unknown:
         raise CyclodiffError(f"unknown methods: {', '.join(unknown)}")
     cls = cyclotomic_class(field, args.m, args.modified)
-    verdicts = {}
-    for name in names:
-        try:
-            if name == "direct":
-                verdicts[name] = check_direct(field, cls).verdict
-            else:
-                verdicts[name] = _CHECKERS[name](field, args.m, args.modified)
-        except BoundExceeded:
-            verdicts[name] = "skipped"
+    verdicts = run_routes(field, cls, names)
     votes = {v for v in verdicts.values() if v != "skipped"}
     agree = len(votes) == 1
     verdict = votes.pop() if agree else "disagreement"

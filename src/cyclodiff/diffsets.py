@@ -26,6 +26,7 @@ from .ff import FFElement, FiniteField, is_prime, make_field
 from .charsums import (_class_sum_counts, _decimate, _require_order,
                        _row_sum_counts, _tables)
 from .cyclotomic import reduce_counts
+from .intpoly import _divisors
 
 VERDICT_DS = "difference_set"
 VERDICT_NOT = "not_difference_set"
@@ -298,26 +299,32 @@ def multiplier_check(field: FiniteField, cls: CyclotomicClass, t: int) -> bool:
     return False
 
 
-def _other_verdicts(field: FiniteField, m: int, modified: bool) -> dict:
-    """The charsum, jacobi and gauss verdicts for one instance; a route
-    reports "skipped" when the instance exceeds its configured bound (the
-    ring order, or the gauss count-tensor budget)."""
+ROUTES = ("direct", "charsum", "jacobi", "gauss")
+
+
+def run_routes(field: FiniteField, cls: CyclotomicClass, names) -> dict:
+    """The verdict of each named route on one class, in the order named.
+
+    A route reports "skipped" when the instance exceeds its configured
+    bound (the ring order, or the gauss count-tensor budget).
+    """
+    m, modified = cls.m, cls.modified
+    checks = {"direct": lambda: check_direct(field, cls).verdict,
+              "charsum": lambda: check_charsum(field, m, modified),
+              "jacobi": lambda: check_jacobi(field, m, modified),
+              "gauss": lambda: check_gauss(field, m, modified)}
     out = {}
-    for name, check in (("charsum", check_charsum), ("jacobi", check_jacobi),
-                        ("gauss", check_gauss)):
+    for name in names:
         try:
-            out[name] = check(field, m, modified)
+            out[name] = checks[name]()
         except BoundExceeded:
             out[name] = "skipped"
     return out
 
 
 def run_all_checkers(field: FiniteField, m: int, modified: bool) -> dict:
-    """All four verdicts for one instance; see _other_verdicts for
-    "skipped"."""
-    cls = cyclotomic_class(field, m, modified)
-    return {"direct": check_direct(field, cls).verdict,
-            **_other_verdicts(field, m, modified)}
+    """All four verdicts for one instance; see run_routes for "skipped"."""
+    return run_routes(field, cyclotomic_class(field, m, modified), ROUTES)
 
 
 # -- scanning --------------------------------------------------------------------
@@ -372,32 +379,30 @@ class ClassificationTable:
 def _scan_rows_for_q(p: int, e: int, q: int, m_set, modified_flags,
                      full_methods: bool) -> list[dict]:
     rows = []
-    divisors = [d for d in range(1, q) if (q - 1) % d == 0]
-    wanted = [d for d in divisors if m_set is None or d in m_set]
+    wanted = [d for d in _divisors(q - 1) if m_set is None or d in m_set]
     if not wanted:
         return rows
     field = make_field(p, e)
+    names = ROUTES if full_methods else ("direct",)
     for m in wanted:
         for modified in modified_flags:
             params = DSParams.from_instance(q, m, modified)
             if not params.feasible:
                 continue
-            report = check_direct(field, cyclotomic_class(field, m, modified))
-            methods, skipped = ["direct"], []
-            if full_methods:
-                for name, v in _other_verdicts(field, m, modified).items():
-                    if v == report.verdict:
-                        methods.append(name)
-                    elif v == "skipped":
-                        skipped.append(name)
-            family = report.family
-            if report.verdict == VERDICT_DS and family is None \
-                    and not params.trivial:
-                family = "unexplained"
+            verdicts = run_routes(field, cyclotomic_class(field, m, modified),
+                                  names)
+            verdict = verdicts["direct"]
+            methods = [n for n, v in verdicts.items() if v == verdict]
+            skipped = [n for n, v in verdicts.items() if v == "skipped"]
+            family = None
+            if verdict == VERDICT_DS:
+                family = known_family_match(q, m, modified)
+                if family is None and not params.trivial:
+                    family = "unexplained"
             row = {
                 "q": q, "p": p, "e": e, "m": m, "modified": modified,
                 "v": params.v, "k": params.k, "lambda": params.lam,
-                "n": params.n, "verdict": report.verdict,
+                "n": params.n, "verdict": verdict,
                 "family": family, "methods": methods,
             }
             if skipped:

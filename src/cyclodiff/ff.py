@@ -1,9 +1,18 @@
 """Finite fields F_q, q = p^e, with dense discrete-log tables.
 
 Elements are stored as integer codes sum(c_i * p^i) for the coefficient
-vector (c_0, ..., c_{e-1}) in the polynomial basis.  Fields are small by
-configuration, so construction eagerly builds exp/log tables and every
-multiplicative operation afterwards is a table lookup.
+vector (c_0, ..., c_{e-1}) in the polynomial basis 1, x, ..., x^(e-1) of
+F_p[x]/(f).  Fields are small by configuration, so construction eagerly
+builds exp/log tables and every operation afterwards is a table lookup or
+one of the bulk codes_* operations.
+
+Construction works only with F_p-linear maps.  Multiplication by x is the
+companion matrix C of the modulus f, so the element sum(a_i x^i) acts as
+the e x e matrix sum(a_i C^i) mod p (the 1 x 1 matrix [a] when e = 1),
+and its trace over F_p is the trace of that matrix.  The generator test
+takes powers of these matrices, the exp table is filled by doubling
+(exp[k:2k] = g^k exp[:k], applied to bounded blocks of codes), the log
+table is its inverse permutation, and tr(x^i) = trace(C^i) mod p.
 """
 
 from __future__ import annotations
@@ -20,6 +29,9 @@ from .errors import (
     ZeroArgument,
 )
 from .intpoly import prime_factors
+
+_GEN_BATCH = 32           # candidate generators tested per stacked power
+_EXP_BLOCK = 1 << 12      # codes per block when filling the exp table
 
 
 def is_prime(n: int) -> bool:
@@ -117,6 +129,19 @@ def _zip_pad(a: list[int], b: list[int]):
     return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
 
 
+def _mat_pow(mats: np.ndarray, k: int, p: int) -> np.ndarray:
+    """mats^k mod p for a stack of square matrices, by square and multiply."""
+    out = np.broadcast_to(np.eye(mats.shape[-1], dtype=np.int64),
+                          mats.shape).copy()
+    while k:
+        if k & 1:
+            out = out @ mats % p
+        k >>= 1
+        if k:
+            mats = mats @ mats % p
+    return out
+
+
 # -- elements -----------------------------------------------------------------
 
 
@@ -132,12 +157,7 @@ class FFElement:
     @property
     def rep(self) -> tuple[int, ...]:
         """Coefficient vector, low degree first, length e."""
-        f = self.field
-        c, out = self.code, []
-        for _ in range(f.e):
-            out.append(c % f.p)
-            c //= f.p
-        return tuple(out)
+        return tuple(int(c) for c in self.field.codes_to_matrix(self.code))
 
     def is_zero(self) -> bool:
         return self.code == 0
@@ -192,95 +212,79 @@ class FiniteField:
         self.p = p
         self.e = e
         self.q = q
+        self._weights = p ** np.arange(e, dtype=np.int64)
         self.modulus = self._find_modulus()
         self._build_tables()
-        self._basis_traces = self._compute_basis_traces()
 
     # construction --------------------------------------------------------
 
     def _find_modulus(self) -> tuple[int, ...]:
         p, e = self.p, self.e
-        if e == 1:
-            return (0, 1)
         for low in range(p ** e):
-            f = [0] * e + [1]
-            c = low
-            for i in range(e):
-                f[i] = c % p
-                c //= p
+            f = [int(c) for c in self.codes_to_matrix(low)] + [1]
             if _is_irreducible(f, p):
                 return tuple(f)
         raise ArithmeticError("no irreducible polynomial found")
 
-    def _mul_codes_slow(self, a: int, b: int) -> int:
+    def _companion_powers(self) -> np.ndarray:
+        """C^0, ..., C^(e-1) mod p, stacked, for C the companion matrix of
+        the modulus: column j of C holds the code digits of x * x^j."""
         p, e = self.p, self.e
-        va = [(a // p ** i) % p for i in range(e)]
-        vb = [(b // p ** i) % p for i in range(e)]
-        prod = _pmod_mulmod(_pmod_trim(va), _pmod_trim(vb), list(self.modulus), p)
-        return sum(c * p ** i for i, c in enumerate(prod))
+        comp = np.zeros((e, e), dtype=np.int64)
+        comp[1:, :-1] = np.eye(e - 1, dtype=np.int64)
+        comp[:, -1] = np.negative(self.modulus[:e]) % p
+        powers = [np.eye(e, dtype=np.int64)]
+        for _ in range(e - 1):
+            powers.append(comp @ powers[-1] % p)
+        return np.stack(powers)
 
-    def _pow_code_slow(self, a: int, k: int) -> int:
-        result, base = 1, a
-        while k:
-            if k & 1:
-                result = self._mul_codes_slow(result, base)
-            base = self._mul_codes_slow(base, base)
-            k >>= 1
-        return result
+    def _mul_matrices(self, codes, cpow: np.ndarray) -> np.ndarray:
+        """The matrices sum(a_i C^i) mod p of multiplication by each code."""
+        return np.tensordot(self.codes_to_matrix(codes), cpow, axes=1) % self.p
 
-    def _order_is_full(self, a: int) -> bool:
-        n = self.q - 1
-        for r in prime_factors(n):
-            if self._pow_code_slow(a, n // r) == 1:
-                return False
-        return True
+    def _first_generator(self, cpow: np.ndarray) -> int:
+        """The first code whose matrix M has M^((q-1)/r) != I for every
+        prime r dividing q - 1, that is, whose order is q - 1."""
+        q, p = self.q, self.p
+        exps = [(q - 1) // r for r in prime_factors(q - 1)]
+        eye = np.eye(self.e, dtype=np.int64)
+        for lo in range(1, q, _GEN_BATCH):
+            codes = np.arange(lo, min(lo + _GEN_BATCH, q), dtype=np.int64)
+            mats = self._mul_matrices(codes, cpow)
+            full = np.ones(len(codes), dtype=bool)
+            for k in exps:
+                full &= np.any(_mat_pow(mats, k, p) != eye, axis=(1, 2))
+            hits = np.flatnonzero(full)
+            if len(hits):
+                return int(codes[hits[0]])
+        raise ArithmeticError(f"no element of order {q - 1} in F_{q}")
 
     def _build_tables(self):
-        q = self.q
-        gen = None
-        for code in range(1, q):
-            if self._order_is_full(code):
-                gen = code
-                break
-        if gen is None:
-            raise ArithmeticError(f"no element of order {q - 1} in F_{q}")
-        self.generator_code = gen
-        exp = np.zeros(q - 1, dtype=np.int64)
+        q, p = self.q, self.p
+        cpow = self._companion_powers()
+        self.generator_code = self._first_generator(cpow)
+        # exp[k:2k] = g^k * exp[:k], with g^k acting as the matrix step
+        step = self._mul_matrices(self.generator_code, cpow)
+        exp = np.empty(q - 1, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
-        acc = 1
-        if self.e == 1:
-            p = self.p
-            for i in range(q - 1):
-                exp[i] = acc
-                log[acc] = i
-                acc = (acc * gen) % p
-        else:
-            for i in range(q - 1):
-                exp[i] = acc
-                log[acc] = i
-                acc = self._mul_codes_slow(acc, gen)
-        if acc != 1:
-            raise ArithmeticError("generator order is not q-1")
+        exp[0], log[1] = 1, 0
+        k = 1
+        while k < q - 1:
+            width = min(k, q - 1 - k)
+            for lo in range(0, width, _EXP_BLOCK):
+                hi = min(lo + _EXP_BLOCK, width)
+                digits = self.codes_to_matrix(exp[lo:hi])
+                block = self.matrix_to_codes(digits @ step.T)
+                exp[k + lo:k + hi] = block
+                log[block] = np.arange(k + lo, k + hi, dtype=np.int64)
+            step = step @ step % p
+            k *= 2
+        if log[0] != -1 or np.any(log[1:] < 0):
+            raise ArithmeticError("exp table is not a permutation of 1..q-1")
         self.exp_table = exp
         self.log_table = log
-
-    def _compute_basis_traces(self) -> tuple[int, ...]:
-        # tr(w^i) for the basis powers w^i; trace of sum(c_i w^i) is then
-        # sum(c_i tr(w^i)) mod p by linearity
-        p, e = self.p, self.e
-        out = []
-        for i in range(e):
-            basis_code = p ** i
-            acc = [0] * e
-            x = basis_code
-            for _ in range(e):
-                for j in range(e):
-                    acc[j] = (acc[j] + (x // p ** j) % p) % p
-                x = self._pow_code_slow(x, p)
-            if any(acc[1:]):
-                raise ArithmeticError("trace left the prime subfield")
-            out.append(acc[0])
-        return tuple(out)
+        # tr(x^i) is the trace of the map "times x^i"
+        self._basis_traces = np.trace(cpow, axis1=1, axis2=2) % p
 
     # identity ------------------------------------------------------------
 
@@ -316,8 +320,9 @@ class FiniteField:
         cs = list(coeffs)
         if len(cs) > self.e:
             raise ValueError("coefficient vector longer than extension degree")
-        code = sum((c % self.p) * self.p ** i for i, c in enumerate(cs))
-        return FFElement(self, code)
+        vec = np.zeros(self.e, dtype=np.int64)
+        vec[:len(cs)] = cs
+        return FFElement(self, int(self.matrix_to_codes(vec)))
 
     def elements(self):
         for code in range(self.q):
@@ -331,13 +336,13 @@ class FiniteField:
     # scalar arithmetic -----------------------------------------------------
 
     def add(self, a: FFElement, b: FFElement) -> FFElement:
-        return FFElement(self, self._add_codes(a.code, b.code))
+        return FFElement(self, int(self.codes_add(a.code, b.code)))
 
     def sub(self, a: FFElement, b: FFElement) -> FFElement:
-        return FFElement(self, self._sub_codes(a.code, b.code))
+        return FFElement(self, int(self.codes_sub(a.code, b.code)))
 
     def neg(self, a: FFElement) -> FFElement:
-        return FFElement(self, self._sub_codes(0, a.code))
+        return FFElement(self, int(self.codes_sub(0, a.code)))
 
     def mul(self, a: FFElement, b: FFElement) -> FFElement:
         if a.code == 0 or b.code == 0:
@@ -362,48 +367,15 @@ class FiniteField:
         j = (int(self.log_table[a.code]) * k) % (self.q - 1)
         return FFElement(self, int(self.exp_table[j]))
 
-    def _add_codes(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a + b) % p
-        if p == 2:
-            return a ^ b
-        out, mult = 0, 1
-        for _ in range(self.e):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _sub_codes(self, a: int, b: int) -> int:
-        p = self.p
-        if self.e == 1:
-            return (a - b) % p
-        if p == 2:
-            return a ^ b
-        out, mult = 0, 1
-        for _ in range(self.e):
-            out += ((a % p - b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
     # bulk code arithmetic (numpy), used by the counting fast paths ----------
 
-    def codes_to_matrix(self, codes: np.ndarray) -> np.ndarray:
-        """Decode an int array of codes into an (len, e) coefficient matrix."""
-        cols = []
-        c = codes.astype(np.int64)
-        for _ in range(self.e):
-            cols.append(c % self.p)
-            c = c // self.p
-        return np.stack(cols, axis=1)
+    def codes_to_matrix(self, codes) -> np.ndarray:
+        """Decode codes into coefficient vectors along a new last axis of
+        length e: an (len, e) matrix for an array, an (e,) vector for a code."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self._weights % self.p
 
     def matrix_to_codes(self, mat: np.ndarray) -> np.ndarray:
-        weights = self.p ** np.arange(self.e, dtype=np.int64)
-        return (mat % self.p) @ weights
+        return (mat % self.p) @ self._weights
 
     def codes_sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.e == 1:
@@ -421,14 +393,12 @@ class FiniteField:
 
     # trace -----------------------------------------------------------------
 
+    def codes_trace(self, codes) -> np.ndarray:
+        """Tr_{F_q/F_p} of each code: by linearity, sum(c_i tr(x^i)) mod p."""
+        return self.codes_to_matrix(codes) @ self._basis_traces % self.p
+
     def trace_code(self, code: int) -> int:
-        if self.e == 1:
-            return code
-        p, acc = self.p, 0
-        for t in self._basis_traces:
-            acc += (code % p) * t
-            code //= p
-        return acc % p
+        return int(self.codes_trace(code))
 
 
 @functools.lru_cache(maxsize=128)

@@ -327,9 +327,8 @@ def gauss_solution(field: FiniteField, m: int,
     vals = [CycInt.integer(m - 1 if modified else -1)]
     for s in range(1, m):
         vals.append(gauss_sum(chi, s).value)
-    four = field.element(4 % field.p) if field.e == 1 else \
-        (field.one() + field.one()) * (field.one() + field.one())
-    h = chi_eval(chi, 1, four)
+    # a prime-subfield constant c has code c
+    h = chi_eval(chi, 1, field.element(4 % field.p))
     report = check_direct(field, cyclotomic_class(field, m, modified))
     return SolutionVector(
         "g", m, None, tuple(vals) + (h,),

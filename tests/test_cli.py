@@ -93,6 +93,17 @@ def test_ds_check_negative(capsys):
     assert payload["family"] is None
 
 
+def test_ds_check_keeps_method_order_and_skips_past_bounds(capsys):
+    # m = 2052 exceeds the ring bound; the payload follows --methods order
+    assert run(["ds", "check", "--q", "2053", "--m", "2052",
+                "--methods", "gauss,direct,jacobi"]) == 0
+    payload = _json_out(capsys)
+    assert list(payload["methods"].items()) == [
+        ("gauss", "skipped"), ("direct", "difference_set"),
+        ("jacobi", "skipped")]
+    assert payload["verdict"] == "difference_set"
+
+
 def test_ds_scan_quadratic(capsys):
     assert run(["ds", "scan", "--m", "2", "--q-max", "60",
                 "--modified-mode", "plain"]) == 0
@@ -143,6 +154,13 @@ def test_sys_verify_pipeline(tmp_path, capsys):
     assert run(["sys", "verify", "--system", str(system),
                 "--solution", str(bad), "--mode", "exact"]) == 2
     assert _json_out(capsys)["ok"] is False
+
+
+def test_sys_from_field_over_an_extension_field(capsys):
+    assert run(["sys", "from-field", "--q", "9", "--m", "8"]) == 0
+    provenance = _json_out(capsys)["provenance"]
+    assert (provenance["p"], provenance["e"]) == (3, 2)
+    assert provenance["is_difference_set"] is True
 
 
 def test_sys_from_field_bridge_verify(tmp_path, capsys):

@@ -239,6 +239,13 @@ def test_full_methods_scan_counts_differences_once(monkeypatch):
                                    for r in table.rows)
 
 
+def test_scan_ignores_orders_that_divide_no_q_minus_1():
+    # 0 and orders >= q divide no q - 1; 61 and 10**4 exceed every q here
+    table = scan({0, 2, 4, 61, 10 ** 4}, 60)
+    assert table.rows == scan([2, 4], 60).rows
+    assert {r["m"] for r in table.rows} == {2, 4}
+
+
 def test_scan_rows_are_feasible_only_and_sorted():
     table = scan(None, 30)
     assert all(DSParams.from_instance(r["q"], r["m"], r["modified"]).feasible

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from cyclodiff.config import current_limits
 from cyclodiff.cyclotomic import CycInt, CycNum
 from cyclodiff.errors import (ArityMismatch, ModeUnsupported, NotCoprime,
                               OddOrder, ParseError)
@@ -91,6 +92,24 @@ def test_gauss_solution_scaled_exact():
     sol11 = gauss_solution(make_field(11), 10, False)
     assert sol11.values[0].as_integer() == -1     # plain side constant
     assert verify_solution(gen_g_system(10), sol11, mode="scaled_exact").ok
+
+
+def test_gauss_solution_over_extension_fields():
+    # residuals vanish exactly when the class is a difference set
+    cases = 0
+    for p, e in [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)]:
+        field = make_field(p, e)
+        for m in range(2, current_limits().polysys_m_max + 1, 2):
+            if (field.q - 1) % m:
+                continue
+            system = gen_g_system(m)
+            for modified in (False, True):
+                sol = gauss_solution(field, m, modified)
+                res = verify_solution(system, sol, mode="scaled_exact")
+                assert all(res.zeros) == sol.provenance["is_difference_set"], \
+                    (field.q, m, modified)
+                cases += 1
+    assert cases == 50
 
 
 def test_gauss_solution_numeric():
