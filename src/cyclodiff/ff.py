@@ -321,7 +321,7 @@ class FiniteField:
         if len(cs) > self.e:
             raise ValueError("coefficient vector longer than extension degree")
         vec = np.zeros(self.e, dtype=np.int64)
-        vec[:len(cs)] = cs
+        vec[:len(cs)] = [c % self.p for c in cs]
         return FFElement(self, int(self.matrix_to_codes(vec)))
 
     def elements(self):
