@@ -9,13 +9,19 @@ relevant cyclotomic polynomial by cyclotomic.reduce_counts.  A passing
 verdict is therefore a statement about integers, not floats.
 
 Every class-sum and Jacobi-row count is a slice of the cyclotomic numbers
-(i, j)_m, so all of them are counted from one place, _class_pairs.
+(i, j)_m, so all of them are counted from one place, _class_pairs.  A
+condition that must hold for every power chi^s is one base count vector
+and one exact power sweep, _vanishes_at_powers, on top of reduce_counts;
+the charsum, jacobi and gauss routes of diffsets and the identity suite
+all test through it.  The (class, class, trace-sum) pair tensor is built
+only by _pair_tensor.  The direct route keeps its own literal counter,
+FiniteField.codes_difference_counts, and shares nothing with the sweep.
 """
 
 from __future__ import annotations
 
 import functools
-from math import gcd, lcm
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -99,13 +105,51 @@ def chi_eval(chi: Character, s: int, alpha: FFElement) -> CycInt:
 # exponent counts.  Mixed Gauss-type sums use an (m, p) matrix of counts
 # for zeta_m^j zeta_p^w, reduced in zeta_p and then in zeta_m.
 
+# Counts per decimated block in _vanishes_at_powers, so a sweep over many
+# powers never holds the whole (powers, m, p) stack.
+_SWEEP_BLOCK = 1 << 20
 
-def _decimate(vec: np.ndarray, s: int, m: int) -> np.ndarray:
-    """out[i] = sum of vec[j] over j with s*j = i mod m (also for matrices)."""
-    shape = (m,) + vec.shape[1:]
-    out = np.zeros(shape, dtype=np.int64)
-    np.add.at(out, (s % m) * np.arange(m) % m, vec)
-    return out
+
+def _decimate(vec: np.ndarray, s, m: int) -> np.ndarray:
+    """out[i] = sum of vec[j] over j with s*j = i mod m (also for matrices).
+
+    s may be a 1-D array of powers; out then stacks one decimation per
+    power along a new leading axis.  The sums run over Python ints when
+    int64 could overflow, so every entry is exact.
+    """
+    powers = np.atleast_1d(np.asarray(s, dtype=np.int64)) % m
+    top = max(int(vec.max(initial=0)), -int(vec.min(initial=0)))
+    exact = vec.dtype != object and top * m < 2 ** 63
+    out = np.zeros((len(powers),) + vec.shape,
+                   dtype=np.int64 if exact else object)
+    np.add.at(out, (np.arange(len(powers))[:, None],
+                    powers[:, None] * np.arange(m) % m), vec)
+    return out if np.ndim(s) else out[0]
+
+
+def _vanishes(counts: np.ndarray, m: int, p: int = 0) -> bool:
+    """Whether each length-m count vector along the last axis is zero in
+    Z[zeta_m]; with p > 0, whether each (m, p) count matrix in the last two
+    axes is zero in Z[zeta_m, zeta_p], reduced in zeta_p and then in zeta_m."""
+    if p:
+        counts = reduce_counts(counts, p).swapaxes(-1, -2)
+    return not np.any(reduce_counts(counts, m))
+
+
+def _vanishes_at_powers(base: np.ndarray, m: int, powers, p: int = 0) -> bool:
+    """Whether _decimate(base, s, m) is zero for every s in powers.
+
+    This is the one exact test behind every per-power condition of the
+    charsum, jacobi and gauss routes and of the identity suite.  base is
+    a count vector, or an (m, p) count matrix when p > 0 (see _vanishes).
+    Decimation is linear, so callers fold their targets into base.  The
+    powers are decimated in blocks of at most _SWEEP_BLOCK counts, with
+    one reduction per block.
+    """
+    powers = np.asarray(powers, dtype=np.int64)
+    step = max(1, _SWEEP_BLOCK // base.size)
+    return all(_vanishes(_decimate(base, powers[lo:lo + step], m), m, p)
+               for lo in range(0, len(powers), step))
 
 
 @functools.lru_cache(maxsize=8)
@@ -129,11 +173,6 @@ def _tables(field: FiniteField) -> SimpleNamespace:
         pair_dlog_om=field.log_table[one_minus[inner]].astype(np.int64),
         dlog_neg_one=int(field.log_table[neg_one]),
     )
-
-
-def _h_positions(field: FiniteField, m: int) -> np.ndarray:
-    """Boolean mask over codes 1..q-1 marking the nonzero m-th powers."""
-    return _tables(field).dlog % m == 0
 
 
 def _class_pairs(field: FiniteField, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,6 +202,18 @@ def _row_sum_counts(field: FiniteField, m: int) -> np.ndarray:
     """
     a, b = _class_pairs(field, m)
     return m * np.bincount(a[b == 0], minlength=m) - np.bincount(a, minlength=m)
+
+
+def _pair_tensor(field: FiniteField, m: int) -> np.ndarray:
+    """T[i, j, w] = pairs of nonzero (alpha, beta) with dlogs i and j mod m
+    and tr(alpha) + tr(beta) = w mod p.  It expands G(chi^s) G(chi^t) for
+    every s, t at once: entry (i, j, w) counts zeta_m^(s i + t j) zeta_p^w."""
+    p = field.p
+    t = _tables(field)
+    cls = t.dlog % m
+    wsum = (t.trace[:, None] + t.trace[None, :]) % p
+    key = (cls[:, None] * m + cls[None, :]) * p + wsum
+    return np.bincount(key.ravel(), minlength=m * m * p).reshape(m, m, p)
 
 
 # -- the sums themselves ---------------------------------------------------------
@@ -220,67 +271,50 @@ def jacobi_row_sum(chi: Character, s: int) -> CharSumValue:
 def verify_gauss_conjugate_norm(field: FiniteField, m: int) -> bool:
     """G(chi^s) times its complex conjugate image equals q for every
     nontrivial power s, and the trivial-power Gauss sum vanishes."""
+    _require_order(field, m)
     q, p = field.q, field.p
     t = _tables(field)
     # trivial power: counts of tr(alpha) over all of F_q reduce to zero
-    tvec = np.bincount(t.trace_all, minlength=p)
-    if np.any(reduce_counts(tvec, p)):
+    if not _vanishes(np.bincount(t.trace_all, minlength=p), p):
         return False
-    if m == 1:
-        return True
     ldiff = (t.dlog[:, None] - t.dlog[None, :]) % m
     wdiff = (t.trace[:, None] - t.trace[None, :]) % p
     base = np.bincount((ldiff * p + wdiff).ravel(),
                        minlength=m * p).reshape(m, p)
-    for s in range(1, m):
-        mat = _decimate(base, s, m)
-        mat[0, 0] -= q
-        if np.any(reduce_counts(reduce_counts(mat, p).T, m)):
-            return False
-    return True
+    base[0, 0] -= q
+    return _vanishes_at_powers(base, m, range(1, m), p)
 
 
 def verify_gauss_opposite_product(field: FiniteField, m: int) -> bool:
     """G(chi^s) G(chi^-s) = chi^s(-1) q for every nontrivial power s."""
+    _require_order(field, m)
     q, p = field.q, field.p
-    if m == 1:
-        return True
     t = _tables(field)
     ldiff = (t.dlog[:, None] - t.dlog[None, :]) % m
     wsum = (t.trace[:, None] + t.trace[None, :]) % p
     base = np.bincount((ldiff * p + wsum).ravel(),
                        minlength=m * p).reshape(m, p)
-    for s in range(1, m):
-        mat = _decimate(base, s, m)
-        mat[(s * t.dlog_neg_one) % m, 0] -= q
-        if np.any(reduce_counts(reduce_counts(mat, p).T, m)):
-            return False
-    return True
+    base[t.dlog_neg_one % m, 0] -= q
+    return _vanishes_at_powers(base, m, range(1, m), p)
 
 
 def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
     """The Gauss-sum factorization of Jacobi sums, for every exponent pair.
 
-    Checked at the level of exponent counts: the pair tensor
-    U[j1,j2,w] = #{(alpha,beta) nonzero: dlogs j1,j2, tr(alpha+beta)=w}
-    must equal the tensor built from (a, gamma) with alpha = a gamma,
+    Checked at the level of exponent counts: the pair tensor U of
+    _pair_tensor, the literal expansion of G(chi^s) G(chi^t), must equal
+    the tensor built from (a, gamma) with alpha = a gamma,
     beta = (1-a) gamma, plus the beta = -alpha diagonal.  Equality of the
     tensors implies G(chi^s)G(chi^t) = J(chi^s,chi^t) G(chi^(s+t)) for
     every s, t with s, t, s+t all nontrivial, since each instance is a
     fixed linear functional of the three tensors.  The complementary case
     J(chi^s, chi^-s) = -chi^s(-1) is checked per exponent.
     """
-    q, p = field.q, field.p
-    if m == 1:
-        return True
+    _require_order(field, m)
+    p = field.p
     t = _tables(field)
-    f = (q - 1) // m
+    f = (field.q - 1) // m
     cls = t.dlog % m
-    sum_codes = field.codes_add(
-        np.repeat(t.codes, q - 1), np.tile(t.codes, q - 1))
-    w = t.trace_all[sum_codes]
-    key = (np.repeat(cls, q - 1) * m + np.tile(cls, q - 1)) * p + w
-    u = np.bincount(key, minlength=m * m * p)
     a_cls, om_cls = _class_pairs(field, m)
     j1 = (a_cls[:, None] + cls[None, :]) % m
     j2 = (om_cls[:, None] + cls[None, :]) % m
@@ -288,49 +322,39 @@ def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
     v = np.bincount(key.ravel(), minlength=m * m * p).reshape(m, m, p)
     j = np.arange(m)
     v[j, (j + t.dlog_neg_one) % m, 0] += f  # the beta = -alpha pairs
-    if not np.array_equal(u.reshape(m, m, p), v):
+    if not np.array_equal(_pair_tensor(field, m), v):
         return False
     # degenerate pairs: J(chi^s, chi^-s) = -chi^s(-1)
     base = np.bincount((a_cls - om_cls) % m, minlength=m)
-    for s in range(1, m):
-        vec = _decimate(base, s, m)
-        vec[(s * t.dlog_neg_one) % m] += 1
-        if np.any(reduce_counts(vec, m)):
-            return False
-    return True
+    base[t.dlog_neg_one % m] += 1
+    return _vanishes_at_powers(base, m, range(1, m))
 
 
 def verify_jacobi_duplication(field: FiniteField, m: int) -> bool:
     """chi^s(4) J(chi^s,chi^s) = J(chi^s,chi^(m/2)) for even m, nontrivial s.
 
-    An even m dividing q - 1 forces odd q, so 4 is nonzero.
+    An even m dividing q - 1 forces odd q, so 4 is nonzero.  The quadratic
+    character is not raised to s: chi^(m/2)(1 - alpha) = (-1)^b, so the
+    right side is the decimation of signed class counts.
     """
     _require_order(field, m)
     if m % 2:
         raise OddOrder(f"duplication needs an even order, got m={m}")
     dlog4 = int(field.log_table[field.element(4 % field.p).code])
     a, b = _class_pairs(field, m)
-    half = m // 2
-    for s in range(1, m):
-        vec = np.bincount((s * (a + b + dlog4)) % m, minlength=m)
-        vec -= np.bincount((s * a + half * b) % m, minlength=m)
-        if np.any(reduce_counts(vec, m)):
-            return False
-    return True
+    odd = b % 2 == 1
+    base = (np.bincount((a + b + dlog4) % m, minlength=m)
+            - np.bincount(a[~odd], minlength=m)
+            + np.bincount(a[odd], minlength=m))
+    return _vanishes_at_powers(base, m, range(1, m))
 
 
 def verify_row_sums(field: FiniteField, m: int) -> bool:
     """Row sums of Jacobi sums against 1 + m S_s, for every nontrivial s."""
-    if m == 1:
-        return True
-    c_row = _row_sum_counts(field, m)
-    s_base = _class_sum_counts(field, m)
-    for s in range(1, m):
-        vec = _decimate(c_row, s, m) - m * _decimate(s_base, s, m)
-        vec[0] -= 1
-        if np.any(reduce_counts(vec, m)):
-            return False
-    return True
+    _require_order(field, m)
+    base = _row_sum_counts(field, m) - m * _class_sum_counts(field, m)
+    base[0] -= 1
+    return _vanishes_at_powers(base, m, range(1, m))
 
 
 def _twisted_class_sum_counts(s_mat: np.ndarray, c_gamma: int) -> np.ndarray:
@@ -352,62 +376,48 @@ def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     and -gamma; (iii) the character-averaged class sums recover m times
     the pair count plus one.
     """
+    _require_order(field, m)
     q = field.q
     t = _tables(field)
-    f = (q - 1) // m
-    mask = _h_positions(field, m)
-    h_codes = t.codes[mask]
-    diffs = field.codes_sub(np.repeat(h_codes, f), np.tile(h_codes, f))
-    b = np.bincount(diffs, minlength=q)
+    h_codes = t.codes[t.dlog % m == 0]  # the nonzero m-th powers
+    b = field.codes_difference_counts(h_codes)
     # a by class of gamma: alpha in H, alpha != 1, with 1-alpha in gamma H
     a_cls = _class_sum_counts(field, m)
-    gamma_cls = t.dlog % m
-    if not np.array_equal(b[1:], a_cls[gamma_cls]):
+    if not np.array_equal(b[1:], a_cls[t.dlog % m]):
         return False
     # modified class: differences over (H u {0})^2
-    m_codes = np.concatenate(([0], h_codes))
-    diffs = field.codes_sub(np.repeat(m_codes, f + 1), np.tile(m_codes, f + 1))
-    c = np.bincount(diffs, minlength=q)
+    c = field.codes_difference_counts(np.concatenate(([0], h_codes)))
     in_h = np.zeros(q, dtype=np.int64)
     in_h[h_codes] = 1
     neg = field.codes_sub(np.zeros(q - 1, dtype=np.int64), t.codes)
     expected = b[1:] + in_h[t.codes] + in_h[neg]
     if not np.array_equal(c[1:], expected):
         return False
-    # character-averaged recovery of the pair counts, one gamma class each
-    s_mat = np.array([_decimate(a_cls, s, m) for s in range(m)])
+    # character-averaged recovery of the pair counts, one gamma class a row
+    s_mat = _decimate(a_cls, np.arange(m), m)
     s_mat[0, 0] += 1  # alpha = 1 term of the trivial power
-    for c_gamma in range(m):
-        vec = _twisted_class_sum_counts(s_mat, c_gamma)
-        vec[0] -= m * int(a_cls[c_gamma]) + 1
-        if np.any(reduce_counts(vec, m)):
-            return False
-    return True
+    twisted = np.array([_twisted_class_sum_counts(s_mat, c_gamma)
+                        for c_gamma in range(m)])
+    twisted[:, 0] -= m * a_cls + 1
+    return _vanishes(twisted, m)
 
 
 def verify_class_difference_sums(field: FiniteField, m: int) -> bool:
     """Sum of chi^s(beta-gamma) over pairs from the power class is f S_s."""
-    q = field.q
+    _require_order(field, m)
     t = _tables(field)
-    f = (q - 1) // m
-    mask = _h_positions(field, m)
-    h_codes = t.codes[mask]
-    diffs = field.codes_sub(np.repeat(h_codes, f), np.tile(h_codes, f))
-    diffs = diffs[diffs != 0]
-    w = np.bincount(field.log_table[diffs].astype(np.int64) % m, minlength=m)
-    s_base = _class_sum_counts(field, m)
+    f = (field.q - 1) // m
+    counts = field.codes_difference_counts(t.codes[t.dlog % m == 0])
+    w = np.zeros(m, dtype=np.int64)
+    np.add.at(w, t.dlog % m, counts[1:])  # nonzero differences by class
     # the beta = gamma diagonal and f times the alpha = 1 term of S_s are
     # both f when the power is trivial and 0 otherwise, so they cancel
-    for s in range(m):
-        vec = _decimate(w, s, m) - f * _decimate(s_base, s, m)
-        if np.any(reduce_counts(vec, m)):
-            return False
-    return True
+    return _vanishes_at_powers(w - f * _class_sum_counts(field, m), m,
+                               range(m))
 
 
 def verify_identity_suite(field: FiniteField, m: int) -> dict[str, bool]:
     """Run every exact identity check for one (field, m); all should pass."""
-    _require_order(field, m)
     out = {
         "gauss_conjugate_norm": verify_gauss_conjugate_norm(field, m),
         "gauss_opposite_product": verify_gauss_opposite_product(field, m),

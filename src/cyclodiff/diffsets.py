@@ -4,11 +4,13 @@ H is the multiplicative subgroup of nonzero m-th powers in F_q, and M is
 H with zero appended.  Four routes decide whether such a class is a
 difference set: literal difference counting, class sums, Jacobi row
 sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
-count from the same class pairs (charsums._class_pairs); the direct
-route shares nothing with them, and the Gauss route builds its own
-trace tensors.  All four work in exact integer arithmetic; the scanner
-sweeps prime powers and flags any nontrivial hit that no known family
-explains.
+count from the same class pairs (charsums._class_pairs), and the Gauss
+route builds its own trace tensor (charsums._pair_tensor); all three test
+every power through one exact sweep, charsums._vanishes_at_powers.  The
+direct route counts differences literally, with
+FiniteField.codes_difference_counts, and shares nothing with them.  All
+four work in exact integer arithmetic; the scanner sweeps prime powers
+and flags any nontrivial hit that no known family explains.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .config import current_limits
-from .errors import BoundExceeded, ZeroGamma, ZeroMultiplier
+from .errors import BoundExceeded, OrderDoesNotDivide, ZeroGamma, ZeroMultiplier
 from .ff import FFElement, FiniteField, is_prime, make_field
-from .charsums import (_class_sum_counts, _decimate, _require_order,
-                       _row_sum_counts, _tables)
-from .cyclotomic import reduce_counts
+from .charsums import (_class_sum_counts, _pair_tensor, _require_order,
+                       _row_sum_counts, _tables, _vanishes_at_powers)
 from .intpoly import _divisors
 
 VERDICT_DS = "difference_set"
@@ -47,6 +48,8 @@ class DSParams:
 
     @classmethod
     def from_instance(cls, q: int, m: int, modified: bool) -> "DSParams":
+        if m < 1 or (q - 1) % m:
+            raise OrderDoesNotDivide(f"m={m} does not divide q-1={q - 1}")
         f = (q - 1) // m
         k = f + 1 if modified else f
         # k(k-1) = lam(v-1) forces m | f+1 or m | f-1 respectively
@@ -116,25 +119,12 @@ def cyclotomic_class(field: FiniteField, m: int,
     return CyclotomicClass(field, m, modified, codes)
 
 
-def _difference_count_vector(field: FiniteField, codes: np.ndarray,
-                             chunk: int = 512) -> np.ndarray:
-    """counts[c] = ordered pairs in codes x codes whose difference has code c."""
-    q = field.q
-    counts = np.zeros(q, dtype=np.int64)
-    k = len(codes)
-    for lo in range(0, k, chunk):
-        block = codes[lo:lo + chunk]
-        diffs = field.codes_sub(np.repeat(block, k), np.tile(codes, len(block)))
-        counts += np.bincount(diffs, minlength=q)
-    return counts
-
-
 def check_direct(field: FiniteField, cls: CyclotomicClass) -> DSReport:
     """Count every difference literally; the oracle the other routes answer to."""
     params = DSParams.from_instance(field.q, cls.m, cls.modified)
     if not params.feasible:
         return DSReport(params, VERDICT_INFEASIBLE, ("direct",))
-    counts = _difference_count_vector(field, cls.codes)[1:]
+    counts = field.codes_difference_counts(cls.codes)[1:]
     deviant = np.flatnonzero(counts != params.lam)
     if len(deviant) == 0:
         family = known_family_match(field.q, cls.m, cls.modified)
@@ -162,15 +152,11 @@ def check_charsum(field: FiniteField, m: int, modified: bool) -> str:
     if not params.feasible:
         return VERDICT_INFEASIBLE
     base = _class_sum_counts(field, m)
-    lneg = _tables(field).dlog_neg_one
-    for s in _orbit_reps(m):
-        vec = _decimate(base, s, m)
-        if modified:
-            vec[0] += 1
-            vec[(s * lneg) % m] += 1
-        if np.any(reduce_counts(vec, m)):
-            return VERDICT_NOT
-    return VERDICT_DS
+    if modified:
+        base[0] += 1
+        base[_tables(field).dlog_neg_one % m] += 1
+    holds = _vanishes_at_powers(base, m, _orbit_reps(m))
+    return VERDICT_DS if holds else VERDICT_NOT
 
 
 def check_jacobi(field: FiniteField, m: int, modified: bool) -> str:
@@ -180,16 +166,12 @@ def check_jacobi(field: FiniteField, m: int, modified: bool) -> str:
     if not params.feasible:
         return VERDICT_INFEASIBLE
     base = _row_sum_counts(field, m)
-    lneg = _tables(field).dlog_neg_one
-    for s in _orbit_reps(m):
-        vec = _decimate(base, s, m)
-        vec[0] -= 1
-        if modified:
-            vec[0] += m
-            vec[(s * lneg) % m] += m
-        if np.any(reduce_counts(vec, m)):
-            return VERDICT_NOT
-    return VERDICT_DS
+    base[0] -= 1
+    if modified:
+        base[0] += m
+        base[_tables(field).dlog_neg_one % m] += m
+    holds = _vanishes_at_powers(base, m, _orbit_reps(m))
+    return VERDICT_DS if holds else VERDICT_NOT
 
 
 def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
@@ -209,42 +191,34 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
             or (q - 1) ** 2 > 3 * 10 ** 7:
         raise BoundExceeded(
             f"gauss route needs an {m}x{m}x{p} count tensor for q={q}")
-    if m == 1:
-        return VERDICT_DS
     t = _tables(field)
-    cls = t.dlog % m
-    wsum = (t.trace[:, None] + t.trace[None, :]) % p
-    key = (cls[:, None] * m + cls[None, :]) * p + wsum
-    tensor = np.bincount(key.ravel(), minlength=m * m * p).reshape(m, m, p)
+    tensor = _pair_tensor(field, m)
     idx = np.arange(m)
     lneg = t.dlog_neg_one
     m1 = tensor[(idx - lneg) % m, idx, :]          # j1 = j2 - dlog(-1)
     m2 = tensor.sum(axis=0)                        # marginal over j1
     m3 = tensor.sum(axis=1)[(idx - lneg) % m, :]   # marginal, re-centred
     gvec = np.zeros((m, p), dtype=np.int64)
-    np.add.at(gvec, (cls, t.trace), 1)
+    np.add.at(gvec, (t.dlog % m, t.trace), 1)
     scale = 1 - m if modified else 1
-    for s in _orbit_reps(m):
-        lhs = m * _decimate(m1, s, m) - _decimate(m2, s, m) - _decimate(m3, s, m)
-        gs = _decimate(gvec, s, m)
-        rhs = gs + np.roll(gs, (s * lneg) % m, axis=0)
-        if np.any(reduce_counts(reduce_counts(lhs - scale * rhs, p).T, m)):
-            return VERDICT_NOT
-    return VERDICT_DS
+    # decimating roll(g, l) by s gives roll(decimate(g, s), s l)
+    base = m * m1 - m2 - m3 - scale * (gvec + np.roll(gvec, lneg, axis=0))
+    holds = _vanishes_at_powers(base, m, _orbit_reps(m), p)
+    return VERDICT_DS if holds else VERDICT_NOT
 
 
 def difference_counts(field: FiniteField, m: int, gamma) -> tuple[int, int, int]:
     """(a, b, c) for one gamma: a = members alpha of H with 1 - alpha in
     gamma H; b, c = ordered pairs of H (resp. M) at difference gamma."""
-    code = gamma.code if isinstance(gamma, FFElement) else int(gamma)
+    code = (field._check(gamma) if isinstance(gamma, FFElement)
+            else field.element(int(gamma))).code
     if code == 0:
         raise ZeroGamma("gamma must be nonzero")
     h = cyclotomic_class(field, m, False)
     a = int(_class_sum_counts(field, m)[int(field.log_table[code]) % m])
-    b_vec = _difference_count_vector(field, h.codes)
-    b = int(b_vec[code])
+    b = int(field.codes_difference_counts(h.codes)[code])
     mod = cyclotomic_class(field, m, True)
-    c = int(_difference_count_vector(field, mod.codes)[code])
+    c = int(field.codes_difference_counts(mod.codes)[code])
     return a, b, c
 
 

@@ -32,6 +32,7 @@ from .intpoly import prime_factors
 
 _GEN_BATCH = 32           # candidate generators tested per stacked power
 _EXP_BLOCK = 1 << 12      # codes per block when filling the exp table
+_DIFF_CHUNK = 512         # rows of pairs per block when counting differences
 
 
 def is_prime(n: int) -> bool:
@@ -390,6 +391,17 @@ class FiniteField:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         return self.matrix_to_codes(self.codes_to_matrix(a) + self.codes_to_matrix(b))
+
+    def codes_difference_counts(self, codes: np.ndarray) -> np.ndarray:
+        """counts[c] = ordered pairs in codes x codes whose difference has
+        code c, taking _DIFF_CHUNK rows of pairs at a time."""
+        counts = np.zeros(self.q, dtype=np.int64)
+        k = len(codes)
+        for lo in range(0, k, _DIFF_CHUNK):
+            block = codes[lo:lo + _DIFF_CHUNK]
+            diffs = self.codes_sub(np.repeat(block, k), np.tile(codes, len(block)))
+            counts += np.bincount(diffs, minlength=self.q)
+        return counts
 
     # trace -----------------------------------------------------------------
 

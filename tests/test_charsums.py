@@ -1,19 +1,33 @@
 """Character sums: Gauss, Jacobi, class sums, and the identity suite."""
 
+import random
 from collections import Counter
+from math import gcd
 
 import numpy as np
 import pytest
+from sympy import mobius, totient
 
+from cyclodiff import charsums
 from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
-                                _twisted_class_sum_counts, character,
-                                chi_eval, gauss_sum, h_class_sum,
-                                jacobi_row_sum, jacobi_sum,
+                                _pair_tensor, _tables,
+                                _twisted_class_sum_counts,
+                                _vanishes_at_powers, character, chi_eval,
+                                gauss_sum, h_class_sum, jacobi_row_sum,
+                                jacobi_sum, verify_class_difference_counts,
+                                verify_class_difference_sums,
+                                verify_gauss_conjugate_norm,
+                                verify_gauss_opposite_product,
                                 verify_identity_suite,
-                                verify_jacobi_duplication)
-from cyclodiff.cyclotomic import CycInt, cyc_lift, embed
+                                verify_jacobi_duplication,
+                                verify_jacobi_quotient, verify_row_sums)
+from cyclodiff.cyclotomic import CycInt, cyc_lift, embed, reduce_counts
+from cyclodiff.diffsets import _orbit_reps
 from cyclodiff.errors import OddOrder, OrderDoesNotDivide
 from cyclodiff.ff import dlog, make_field
+
+# prime, extension and characteristic-2 fields for the differential tests
+SWEEP_FIELDS = [(13, 1), (3, 2), (2, 4), (31, 1), (13, 2)]
 
 
 def test_character_requires_divisibility():
@@ -157,6 +171,16 @@ def test_identity_suite_requires_a_dividing_order():
         verify_jacobi_duplication(make_field(7), 3)
 
 
+def test_every_identity_check_requires_a_dividing_order():
+    # 5 does not divide 12; each check used to answer False here
+    for check in (verify_gauss_conjugate_norm, verify_gauss_opposite_product,
+                  verify_jacobi_quotient, verify_row_sums,
+                  verify_class_difference_counts,
+                  verify_class_difference_sums):
+        with pytest.raises(OrderDoesNotDivide):
+            check(make_field(13), 5)
+
+
 def test_identity_suite_small_fields():
     for p, e, m in [(13, 1, 4), (13, 1, 12), (7, 1, 6), (2, 4, 3), (2, 4, 15),
                     (3, 2, 8), (11, 1, 10), (31, 1, 6)]:
@@ -179,6 +203,109 @@ def test_twisted_class_sums_match_the_loop():
                     np.add.at(want, (np.arange(m) - s * c) % m, s_mat[s])
                 got = _twisted_class_sum_counts(s_mat, c)
                 assert np.array_equal(got, want), (p, e, m, c)
+
+
+def _loop_reference(base, m, powers, p=0):
+    """The per-power loop the checks ran before the sweep: decimate, reduce
+    (in zeta_p, then in zeta_m), stop at the first nonzero power.  The
+    decimation runs over Python ints so that huge entries stay exact."""
+    for s in powers:
+        vec = np.zeros(base.shape, dtype=object)
+        np.add.at(vec, (s % m) * np.arange(m) % m, base.astype(object))
+        if p:
+            vec = reduce_counts(reduce_counts(vec, p).T, m)
+        else:
+            vec = reduce_counts(vec, m)
+        if np.any(vec):
+            return False
+    return True
+
+
+def _ramanujan_rows(m):
+    """{g: row} over divisors g of m, row[j] = c_(m/g)(j), the Ramanujan sum.
+
+    Its decimation by s is m at exponent 0 when gcd(s, m) = g (gcd(0, m)
+    = m) and zero otherwise, so it vanishes at exactly the other powers.
+    """
+    rows = {}
+    for g in (d for d in range(1, m + 1) if m % d == 0):
+        n = m // g
+        rows[g] = np.array([int(mobius(n // gcd(n, j)) * totient(n)
+                                // totient(n // gcd(n, j)))
+                            for j in range(m)], dtype=np.int64)
+    return rows
+
+
+def _sweep_cases(m, p, rng):
+    """(base, powers, p, expected) cases for one order m."""
+    rows = _ramanujan_rows(m)
+    lists = {"orbit": _orbit_reps(m), "nontrivial": range(1, m),
+             "all": range(m)}
+    # for each list, a class holding exactly one of its powers
+    lone = {"orbit": max((g for g in rows if g < m), default=None),
+            "nontrivial": m // 2 if m % 2 == 0 else None, "all": m}
+    for name, powers in lists.items():
+        classes = {gcd(s, m) for s in powers}
+        bases = []
+        for _ in range(3):
+            picked = {g: rng.choice((0, 0, 1, -2)) for g in rows}
+            base = sum(c * rows[g] for g, c in picked.items())
+            bases.append((base, all(picked[g] == 0 for g in classes)))
+        bases.append((sum((rows[g] for g in rows if g not in classes),
+                          np.zeros(m, dtype=np.int64)), True))
+        if lone[name] is not None and lone[name] in classes:
+            bases.append((rows[lone[name]].copy(), False))
+        bases.append((np.array([rng.randint(-3, 3) for _ in range(m)]), None))
+        # huge entries take the Python-int paths of decimation and reduction
+        bases.append((np.full(m, 2 ** 62 - 1, dtype=np.int64),
+                      all(gcd(s, m) != m for s in powers)))
+        for scale in (2 ** 62 - 3, 2 ** 70 + 1):
+            base, want = bases[0]
+            bases.append((base.astype(object) * scale, want))
+        for base, want in bases:
+            yield base, powers, 0, want
+            # an (m, p) matrix: the base at trace 1, plus rows constant in
+            # the trace, which vanish in zeta_p
+            mat = np.zeros((m, p), dtype=base.dtype)
+            mat[:, 1] = base
+            mat += np.array([rng.randint(-4, 4) for _ in range(m)])[:, None]
+            yield mat, powers, p, want
+
+
+def test_sweep_matches_the_per_power_loop(monkeypatch):
+    rng = random.Random(20261018)
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        q = field.q
+        for m in [d for d in range(1, q) if (q - 1) % d == 0]:
+            for base, powers, pp, want in _sweep_cases(m, p, rng):
+                ref = _loop_reference(base, m, powers, pp)
+                if want is not None:
+                    assert ref == want, (q, m, list(powers), pp)
+                assert _vanishes_at_powers(base, m, powers, pp) == ref
+                with monkeypatch.context() as mp:
+                    mp.setattr(charsums, "_SWEEP_BLOCK", 1)  # one power a block
+                    assert _vanishes_at_powers(base, m, powers, pp) == ref
+            # a block of powers stacks the one-power decimations
+            base = np.array([rng.randint(-9, 9) for _ in range(m)])
+            stacked = np.array([_decimate(base, s, m) for s in range(m)])
+            assert np.array_equal(_decimate(base, np.arange(m), m), stacked)
+
+
+def test_pair_tensor_matches_the_pair_sum_construction():
+    # reference: add every pair of nonzero codes in the field, read the
+    # trace of the sum, and key it by the two classes
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        q, t = field.q, _tables(field)
+        sum_codes = field.codes_add(np.repeat(t.codes, q - 1),
+                                    np.tile(t.codes, q - 1))
+        w = t.trace_all[sum_codes]
+        for m in [d for d in range(1, q) if (q - 1) % d == 0]:
+            cls = t.dlog % m
+            key = (np.repeat(cls, q - 1) * m + np.tile(cls, q - 1)) * p + w
+            want = np.bincount(key, minlength=m * m * p).reshape(m, m, p)
+            assert np.array_equal(_pair_tensor(field, m), want), (q, m)
 
 
 def test_identity_suite_past_the_ring_bound_in_p():

@@ -2,6 +2,10 @@
 and emitted payloads are observable without a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +45,20 @@ def test_runtime_errors_exit_1(capsys):
     assert run(["gb", "probe-zero", "--m", "4", "--theta", "1",
                 "--limits", "{oops"]) == 1
     capsys.readouterr()
+
+
+def test_ds_check_rejects_an_order_that_does_not_divide(capsys):
+    assert run(["ds", "check", "--q", "13", "--m", "0"]) == 1
+    assert capsys.readouterr().err == "cyclodiff: m=0 does not divide q-1=12\n"
+    # the same from a fresh interpreter: a clean message, no traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cyclodiff.cli", "ds", "check",
+                           "--q", "13", "--m", "0"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "cyclodiff: m=0 does not divide q-1=12\n"
 
 
 # -- field and sums ----------------------------------------------------------------

@@ -2,18 +2,21 @@
 
 import cmath
 import random
+from math import gcd
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from cyclodiff.charsums import _decimate
 from cyclodiff.config import current_limits
 from cyclodiff.cyclotomic import (ComplexInterval, CycInt, CycNum, cyc_arith,
                                   cyc_lift, cyclotomic_polynomial, embed,
                                   galois, reduce_counts, zeta_interval)
 from cyclodiff.errors import (BoundExceeded, NotAMultiple, NotCoprime,
                               OrderMismatch)
-from cyclodiff.intpoly import cyclotomic_polynomial_unbounded
+from cyclodiff.intpoly import cyclotomic_polynomial_unbounded, euler_phi
 
 
 def _close(a: CycInt, z: complex, eps=1e-12) -> bool:
@@ -214,3 +217,58 @@ def test_intervals():
     assert abs(total.midpoint() - (want := cmath.exp(2j * cmath.pi / 5) + 1)) < 1e-12
     assert abs((a * a).midpoint() - cmath.exp(4j * cmath.pi / 5)) < 1e-12
     assert abs((-a).midpoint() + a.midpoint()) < 1e-15
+
+
+# -- properties (hypothesis) ------------------------------------------------------
+#
+# Derandomized, so every run draws the same examples and tier-1 stays
+# deterministic; the example counts keep the whole block to a few seconds.
+
+PROPERTIES = settings(derandomize=True, deadline=None, database=None,
+                      max_examples=60,
+                      suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _cycints(draw, n):
+    phi = euler_phi(n)
+    return CycInt(n, draw(st.lists(st.integers(-50, 50), min_size=phi,
+                                   max_size=phi)))
+
+
+@st.composite
+def _orders_and_triples(draw):
+    n = draw(st.integers(1, 36))
+    return n, draw(_cycints(n)), draw(_cycints(n)), draw(_cycints(n))
+
+
+@PROPERTIES
+@given(st.data())
+def test_decimation_by_a_unit_is_the_galois_action(data):
+    # the fact the orbit representatives of the checkers rely on
+    n = data.draw(st.integers(1, 300), label="n")
+    k = data.draw(st.integers(-2 * n, 2 * n).filter(lambda k: gcd(k, n) == 1),
+                  label="k")
+    vec = np.array(data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                      min_size=n, max_size=n)), dtype=np.int64)
+    want = galois(CycInt.from_counts(vec), k).coeffs
+    assert tuple(reduce_counts(_decimate(vec, k, n), n).tolist()) == want
+
+
+@PROPERTIES
+@given(_orders_and_triples())
+def test_cycint_ring_laws(case):
+    n, x, y, z = case
+    one = CycInt.integer(1, n)
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x * one == x and one * x == x
+
+
+@PROPERTIES
+@given(_orders_and_triples(), st.integers(1, 6))
+def test_lift_commutes_with_multiplication(case, factor):
+    n, x, y, _ = case
+    n2 = n * factor
+    assert cyc_lift(x * y, n2) == cyc_lift(x, n2) * cyc_lift(y, n2)

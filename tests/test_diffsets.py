@@ -85,6 +85,18 @@ def test_direct_infeasible():
     assert report.verdict == VERDICT_INFEASIBLE
 
 
+def test_checkers_require_a_dividing_order():
+    # m = 0 used to divide by zero, and m = 5 on F_13 answered "infeasible"
+    field = make_field(13)
+    for m in (0, 5):
+        with pytest.raises(OrderDoesNotDivide):
+            DSParams.from_instance(13, m, False)
+        for check in (check_charsum, check_jacobi, check_gauss):
+            for modified in (False, True):
+                with pytest.raises(OrderDoesNotDivide):
+                    check(field, m, modified)
+
+
 def test_checkers_agree_on_a_grid():
     for q in (7, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 37):
         field = _field_of(q) if q in (16, 9) else None
@@ -159,6 +171,15 @@ def test_difference_counts_modified_identity():
         assert c == b + (ge in h) + (field.neg(ge) in h)
     with pytest.raises(ZeroGamma):
         difference_counts(field, 4, 0)
+
+
+def test_difference_counts_validates_gamma():
+    field = make_field(13)
+    for gamma in (13, -1, make_field(7).one):
+        with pytest.raises(ValueError):
+            difference_counts(field, 4, gamma)
+    assert difference_counts(field, 4, 12) == difference_counts(
+        field, 4, field.element(12))
 
 
 def test_difference_counts_total():

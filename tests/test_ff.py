@@ -1,7 +1,12 @@
 """Finite field layer: construction determinism, laws, dlog, trace."""
 
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from cyclodiff import ff
 from cyclodiff.errors import BoundExceeded, NotPrime, ZeroArgument
 from cyclodiff.ff import FiniteField, arith, dlog, is_prime, make_field, trace
 
@@ -108,6 +113,22 @@ def test_element_plumbing():
     assert arith(field, "pow", field.generator, 8).code == 1
     with pytest.raises(ValueError):
         arith(field, "frobnicate", field.one)
+
+
+def test_difference_counts_match_literal_pairs(monkeypatch):
+    # reference: subtract every ordered pair of elements one at a time
+    rng = random.Random(11)
+    monkeypatch.setattr(ff, "_DIFF_CHUNK", 3)   # several chunks per set
+    for p, e in [(13, 1), (3, 2), (2, 4), (3, 3)]:
+        field = make_field(p, e)
+        q = field.q
+        sets = [list(range(q)), [], [0], list(field.exp_table[::2][:7])]
+        sets += [rng.sample(range(q), rng.randint(1, q)) for _ in range(4)]
+        for codes in sets:
+            want = Counter((field.element(int(x)) - field.element(int(y))).code
+                           for x in codes for y in codes)
+            got = field.codes_difference_counts(np.array(codes, dtype=np.int64))
+            assert got.tolist() == [want[c] for c in range(q)], (q, codes)
 
 
 def test_make_field_is_cached():
