@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import groebner as gb
@@ -22,7 +21,7 @@ from .diffsets import (DSParams, ROUTES, VERDICT_DS, cyclotomic_class,
                        known_family_match, run_routes, scan)
 from .errors import CyclodiffError, LimitExceeded, NotPrime
 from .ff import make_field
-from .intpoly import IntPoly
+from .intpoly import IntPoly, prime_factors
 from .tables import f_table, nonexistence_gate, product_check
 
 EXIT_OK = 0
@@ -37,18 +36,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _split_prime_power(q: int) -> tuple:
-    if q < 2:
+    primes = prime_factors(q)
+    if not primes:
         raise NotPrime(f"{q} is not a prime power")
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise NotPrime("field order must be a prime power")
-            return p, e
-    return q, 1
+    if len(primes) > 1:
+        raise NotPrime("field order must be a prime power")
+    p = primes[0]
+    e = 0
+    while q > 1:
+        q //= p
+        e += 1
+    return p, e
 
 
 def _field_from_q(q: int):
@@ -307,8 +305,7 @@ def _cmd_gb_solve(args) -> int:
     stats: dict = {}
     try:
         poly = gb.compute_f_poly(args.m, args.theta, seed=args.seed,
-                                 strategy=args.strategy, stats_sink=stats,
-                                 **kwargs)
+                                 stats_sink=stats, **kwargs)
     except LimitExceeded as exc:
         payload = {"m": args.m, "theta": args.theta, "result": "undecided",
                    "reason": str(exc), "stats": exc.stats}
@@ -466,8 +463,6 @@ def build_parser() -> _Parser:
     solve = p_gb.add_parser("solve", parents=[common])
     solve.add_argument("--m", type=int, required=True)
     solve.add_argument("--theta", type=int, required=True)
-    solve.add_argument("--strategy", choices=("quotient", "block"),
-                       default="quotient")
     solve.add_argument("--limits", default=None,
                        help='JSON, e.g. {"gb_max_spairs": 500000}')
     solve.set_defaults(func=_cmd_gb_solve)

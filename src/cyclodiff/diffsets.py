@@ -209,17 +209,23 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
 
 def difference_counts(field: FiniteField, m: int, gamma) -> tuple[int, int, int]:
     """(a, b, c) for one gamma: a = members alpha of H with 1 - alpha in
-    gamma H; b, c = ordered pairs of H (resp. M) at difference gamma."""
+    gamma H; b, c = ordered pairs of H (resp. M) at difference gamma,
+    that is, the members y with y + gamma in the class as well."""
     code = (field._check(gamma) if isinstance(gamma, FFElement)
             else field.element(int(gamma))).code
     if code == 0:
         raise ZeroGamma("gamma must be nonzero")
-    h = cyclotomic_class(field, m, False)
     a = int(_class_sum_counts(field, m)[int(field.log_table[code]) % m])
-    b = int(field.codes_difference_counts(h.codes)[code])
-    mod = cyclotomic_class(field, m, True)
-    c = int(field.codes_difference_counts(mod.codes)[code])
+    b, c = (_pairs_at(field, cyclotomic_class(field, m, modified).codes, code)
+            for modified in (False, True))
     return a, b, c
+
+
+def _pairs_at(field: FiniteField, codes: np.ndarray, gamma: int) -> int:
+    """#{y in codes : y + gamma in codes}: one shift and a bitmap lookup."""
+    member = np.zeros(field.q, dtype=bool)
+    member[codes] = True
+    return int(np.count_nonzero(member[field.codes_add(codes, gamma)]))
 
 
 def known_family_match(q: int, m: int, modified: bool) -> Optional[str]:

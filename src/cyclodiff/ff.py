@@ -12,7 +12,10 @@ the e x e matrix sum(a_i C^i) mod p (the 1 x 1 matrix [a] when e = 1),
 and its trace over F_p is the trace of that matrix.  The generator test
 takes powers of these matrices, the exp table is filled by doubling
 (exp[k:2k] = g^k exp[:k], applied to bounded blocks of codes), the log
-table is its inverse permutation, and tr(x^i) = trace(C^i) mod p.
+table is its inverse permutation, and tr(x^i) = trace(C^i) mod p.  The
+modulus search goes through C as well: Rabin's irreducibility test reads
+powers C^(p^k) and exact ranks mod p, so no polynomial arithmetic over
+F_p is needed.
 """
 
 from __future__ import annotations
@@ -36,98 +39,7 @@ _DIFF_CHUNK = 512         # rows of pairs per block when counting differences
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-# -- polynomial helpers over F_p (dense low-first lists of ints) ---------------
-
-
-def _pmod_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmod_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
-    return _pmod_rem(out, f, p)
-
-
-def _pmod_rem(a: list[int], f: list[int], p: int) -> list[int]:
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p) if f[-1] != 1 else 1
-    while len(a) - 1 >= df:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        g = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - df
-        for j, cf in enumerate(f):
-            a[shift + j] = (a[shift + j] - g * cf) % p
-        a.pop()
-    return _pmod_trim(a)
-
-
-def _pmod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pmod_rem(a, b, p)
-    return a
-
-
-def _pmod_powmod_x(exp: int, f: list[int], p: int) -> list[int]:
-    """x^exp mod f, by square and multiply."""
-    result = [1]
-    base = _pmod_rem([0, 1], f, p)
-    while exp:
-        if exp & 1:
-            result = _pmod_mulmod(result, base, f, p)
-        base = _pmod_mulmod(base, base, f, p)
-        exp >>= 1
-    return result
-
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Monic f of degree e >= 1 irreducible over F_p.
-
-    Criterion: x^(p^e) = x mod f, and gcd(x^(p^(e/r)) - x, f) = 1 for each
-    prime r dividing e.
-    """
-    e = len(f) - 1
-    if e == 1:
-        return True
-    xq = _pmod_powmod_x(p ** e, f, p)
-    if _pmod_trim([(a - b) % p for a, b in _zip_pad(xq, [0, 1])]):
-        return False
-    for r in prime_factors(e):
-        xs = _pmod_powmod_x(p ** (e // r), f, p)
-        d = [(a - b) % p for a, b in _zip_pad(xs, [0, 1])]
-        g = _pmod_gcd(list(f), _pmod_trim(d), p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
+    return prime_factors(n) == [n]
 
 
 def _mat_pow(mats: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -141,6 +53,51 @@ def _mat_pow(mats: np.ndarray, k: int, p: int) -> np.ndarray:
         if k:
             mats = mats @ mats % p
     return out
+
+
+def _companion(f, p: int) -> np.ndarray:
+    """Companion matrix of the monic f (coefficients low degree first):
+    column j holds the code digits of x * x^j mod f."""
+    e = len(f) - 1
+    comp = np.zeros((e, e), dtype=np.int64)
+    comp[1:, :-1] = np.eye(e - 1, dtype=np.int64)
+    comp[:, -1] = np.negative(f[:e]) % p
+    return comp
+
+
+def _rank_mod(mat: np.ndarray, p: int) -> int:
+    """Rank over F_p of an int64 matrix with entries in [0, p), by exact
+    Gaussian elimination."""
+    mat = mat.copy()
+    rank = 0
+    for col in range(mat.shape[1]):
+        rows = np.flatnonzero(mat[rank:, col]) + rank
+        if not len(rows):
+            continue
+        mat[[rank, rows[0]]] = mat[[rows[0], rank]]
+        mat[rank] = mat[rank] * pow(int(mat[rank, col]), -1, p) % p
+        others = np.arange(len(mat)) != rank
+        mat[others] = (mat[others]
+                       - np.outer(mat[others, col], mat[rank])) % p
+        rank += 1
+    return rank
+
+
+def _is_irreducible(f, p: int) -> bool:
+    """Monic f of degree e >= 1 irreducible over F_p (Rabin's test).
+
+    x^k mod f acts as C^k for the companion matrix C, and g mod f is a
+    unit iff g(C) is invertible.  So f is irreducible iff C^(p^e) = C
+    and C^(p^(e/r)) - C has rank e for each prime r dividing e.
+    """
+    e = len(f) - 1
+    if e == 1:
+        return True
+    comp = _companion(f, p)
+    if np.any(_mat_pow(comp, p ** e, p) != comp):
+        return False
+    return all(_rank_mod((_mat_pow(comp, p ** (e // r), p) - comp) % p, p) == e
+               for r in prime_factors(e))
 
 
 # -- elements -----------------------------------------------------------------
@@ -231,9 +188,7 @@ class FiniteField:
         """C^0, ..., C^(e-1) mod p, stacked, for C the companion matrix of
         the modulus: column j of C holds the code digits of x * x^j."""
         p, e = self.p, self.e
-        comp = np.zeros((e, e), dtype=np.int64)
-        comp[1:, :-1] = np.eye(e - 1, dtype=np.int64)
-        comp[:, -1] = np.negative(self.modulus[:e]) % p
+        comp = _companion(self.modulus, p)
         powers = [np.eye(e, dtype=np.int64)]
         for _ in range(e - 1):
             powers.append(comp @ powers[-1] % p)

@@ -3,6 +3,10 @@
 The target workload is the twist-indexed quadratic systems of polysys:
 append an aggregate variable, eliminate everything else, and read off
 the univariate polynomial whose roots are the admissible g0 values.
+Elimination has one route: a grevlex basis, then the first linear
+dependence among normal forms of powers of the aggregate.  grevlex and
+lex are the only monomial orders; lex serves the sympy differential
+tests.
 Basis arithmetic is in integers: generators are stored as primitive
 integer polynomials, and reduction is fraction-free, scaling the working
 polynomial by the cofactor of each leading coefficient instead of
@@ -16,12 +20,12 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace as dc_replace
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .config import current_limits
+from .config import check_limit_values, current_limits
 from .errors import (LimitExceeded, NotZeroDimensional, OrderMismatch,
                      UncertifiedBasis)
 from .intpoly import IntPoly, squarefree_part
@@ -33,19 +37,16 @@ from .tables import f_table
 
 
 class MonomialOrder:
-    """grevlex, lex, or a two-block elimination order (first block larger).
+    """grevlex or lex.
 
     key(exps) returns a tuple that sorts monomials ascending, so the
     leading monomial of a set is the max under key.
     """
 
-    def __init__(self, kind: str, elim: int = 0):
-        if kind not in ("grevlex", "lex", "block"):
+    def __init__(self, kind: str):
+        if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown order kind {kind!r}")
-        if kind == "block" and elim <= 0:
-            raise ValueError("block order needs a positive first block size")
         self.kind = kind
-        self.elim = elim if kind == "block" else 0
 
     @staticmethod
     def _grevlex_key(exps):
@@ -54,18 +55,12 @@ class MonomialOrder:
     def key(self, exps):
         if self.kind == "lex":
             return exps
-        if self.kind == "grevlex":
-            return self._grevlex_key(exps)
-        return (self._grevlex_key(exps[:self.elim]),
-                self._grevlex_key(exps[self.elim:]))
+        return self._grevlex_key(exps)
 
     def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and (self.kind, self.elim) == (other.kind, other.elim))
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __repr__(self):
-        if self.kind == "block":
-            return f"MonomialOrder(block, elim={self.elim})"
         return f"MonomialOrder({self.kind})"
 
 
@@ -101,12 +96,6 @@ class QPoly:
 
     def leading(self, order: MonomialOrder):
         return max((e for e, _ in self.terms), key=order.key)
-
-    def sorted_terms(self, order: MonomialOrder):
-        return sorted(self.terms, key=lambda t: order.key(t[0]), reverse=True)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
 
 
 def _strip_content(d: dict) -> dict:
@@ -259,12 +248,18 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
     The seed only permutes tie-breaking among equally ranked pairs, so
     it changes the route, never the reduced basis: a property the tests
     lean on.  Limits fall back to the configured defaults; exceeding one
-    raises LimitExceeded carrying the partial, uncertified basis.
+    raises LimitExceeded carrying the partial, uncertified basis.  A
+    given limit must pass the same check as CYCLODIFF_LIMITS, so 0, a
+    negative value or a bool is refused, never read as the default.
     """
-    limits = current_limits()
-    max_spairs = max_spairs or limits.gb_max_spairs
-    max_coeff_bits = max_coeff_bits or limits.gb_max_coeff_bits
-    timeout = timeout or limits.gb_timeout
+    given = {k: v for k, v in (("gb_max_spairs", max_spairs),
+                               ("gb_max_coeff_bits", max_coeff_bits),
+                               ("gb_timeout", timeout)) if v is not None}
+    check_limit_values(given)
+    limits = dc_replace(current_limits(), **given)
+    max_spairs = limits.gb_max_spairs
+    max_coeff_bits = limits.gb_max_coeff_bits
+    timeout = limits.gb_timeout
     nvars, qpolys = _as_qpolys(system)
     t0 = time.monotonic()
     deadline = t0 + timeout
@@ -483,7 +478,7 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
 
 
 def eliminate_to_univariate(system: PolySystem, target: str = "auto",
-                            strategy: str = "quotient", seed: int = 0,
+                            seed: int = 0,
                             stats_sink: Optional[dict] = None,
                             **limit_kw) -> IntPoly:
     """Adjoin the aggregate variable y and eliminate everything else.
@@ -493,12 +488,9 @@ def eliminate_to_univariate(system: PolySystem, target: str = "auto",
     is g0 itself.  Returns the primitive positive-leading generator of
     the ideal's intersection with Q[y].
 
-    The quotient strategy computes a grevlex basis and finds the first
-    linear dependence among normal forms of powers of y; the block
-    strategy eliminates through a two-block order directly.  Both name
-    the same ideal intersection; block is kept as an independent
-    cross-check because its coefficient growth makes it the slower
-    route on anything nontrivial.
+    The one route: a grevlex basis, then the first linear dependence
+    among normal forms of powers of y.  The tests check it against the
+    univariate element of sympy's lex basis.
     """
     if target == "auto":
         target = "mean_ghat" if system.level == "ghat" else "g0"
@@ -518,27 +510,6 @@ def eliminate_to_univariate(system: PolySystem, target: str = "auto",
     else:
         raise ValueError(f"unknown aggregate {target!r}")
     polys.append(QPoly.from_dict(nv + 1, agg))
-
-    if strategy == "block":
-        order = MonomialOrder("block", elim=nv)
-        basis = buchberger(polys, order, seed=seed, **limit_kw)
-        if stats_sink is not None:
-            stats_sink.update(basis.stats)
-        best = None
-        for q in basis.generators:
-            if all(all(x == 0 for x in e[:nv]) for e, _ in q.terms):
-                uni = [0] * (max(e[nv] for e, _ in q.terms) + 1)
-                for e, c in q.terms:
-                    uni[e[nv]] = c
-                cand = IntPoly(uni)
-                if best is None or cand.degree < best.degree:
-                    best = cand
-        if best is None:
-            raise NotZeroDimensional(
-                "the elimination ideal meets Q[y] only in zero")
-        return best.primitive()
-    if strategy != "quotient":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     basis = buchberger(polys, GREVLEX, seed=seed, **limit_kw)
     if stats_sink is not None:
@@ -561,11 +532,16 @@ def compute_f_poly(m: int, theta: int, squarefree: bool = True,
                    stats_sink: Optional[dict] = None,
                    **limit_kw) -> IntPoly:
     """The univariate polynomial vanishing on the aggregate of the twist-
-    theta system; the unit ideal gives the constant 1."""
+    theta system; the unit ideal gives the constant 1.
+
+    strategy accepts only "quotient", the one elimination route; the
+    keyword stays for callers that still name it.
+    """
+    if strategy != "quotient":
+        raise ValueError(f"unknown strategy {strategy!r}")
     system = gen_ghat_system(m, theta)
-    poly = eliminate_to_univariate(system, "mean_ghat", strategy=strategy,
-                                   seed=seed, stats_sink=stats_sink,
-                                   **limit_kw)
+    poly = eliminate_to_univariate(system, "mean_ghat", seed=seed,
+                                   stats_sink=stats_sink, **limit_kw)
     return squarefree_part(poly) if squarefree and poly.degree > 0 else poly
 
 

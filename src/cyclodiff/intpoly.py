@@ -250,19 +250,15 @@ def cyclotomic_polynomial_unbounded(n: int) -> IntPoly:
 
 
 def euler_phi(n: int) -> int:
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    result = n
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 
 def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division; the
+    one integer factoriser of the package ([] for n < 2)."""
     out, m, p = [], n, 2
     while p * p <= m:
         if m % p == 0:

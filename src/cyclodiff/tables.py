@@ -20,7 +20,7 @@ from functools import reduce
 from typing import Dict, List, Tuple
 
 from .errors import NotTabulated
-from .intpoly import IntPoly, count_real_roots
+from .intpoly import IntPoly, count_real_roots, prime_factors
 
 # factors as coefficient tuples, low degree first
 _ROWS: Dict[int, List[Tuple[int, List[tuple]]]] = {
@@ -122,16 +122,7 @@ def product_check(m: int) -> dict:
 
 
 def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, n + 1):
-        if p * p > n:
-            return True        # n itself is prime
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return False
+    return len(prime_factors(n)) == 1
 
 
 def nonexistence_gate(m: int) -> dict:

@@ -3,13 +3,18 @@ and emitted payloads are observable without a subprocess."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cyclodiff.cli import run
+from cyclodiff.cli import _split_prime_power, build_parser, run
+from cyclodiff.errors import NotPrime
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _json_out(capsys):
@@ -22,12 +27,36 @@ def _json_out(capsys):
 def test_usage_errors_exit_1(capsys):
     for argv in (["frobnicate"], ["field"], ["field", "info"],
                  ["ds", "check", "--q", "7"],
+                 # gb solve has no --strategy flag
                  ["gb", "solve", "--m", "6", "--theta", "0",
-                  "--strategy", "magic"]):
+                  "--strategy", "block"]):
         with pytest.raises(SystemExit) as info:
             run(argv)
         assert info.value.code == 1, argv
         capsys.readouterr()
+
+
+def test_readme_cli_tour_parses():
+    # parse only, run nothing: a flag the parser no longer knows cannot
+    # linger in the README
+    text = README.read_text()
+    tour = re.search(r"## CLI tour\n+```sh\n(.*?)```", text, re.S).group(1)
+    lines = [l for l in tour.splitlines() if l.startswith("cyclodiff ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
+def test_split_prime_power():
+    assert _split_prime_power(49) == (7, 2)
+    assert _split_prime_power(1024) == (2, 10)
+    assert _split_prime_power(1048573) == (1048573, 1)
+    with pytest.raises(NotPrime, match="1 is not a prime power"):
+        _split_prime_power(1)
+    for q in (6, 12):
+        with pytest.raises(NotPrime, match="field order must be a prime"):
+            _split_prime_power(q)
 
 
 def test_runtime_errors_exit_1(capsys):

@@ -56,7 +56,7 @@ KNOWN_POSITIVES = [(7, 2, False), (11, 2, False), (37, 4, False),
 
 
 def _field_of(q):
-    p, e = {16: (2, 4), 9: (3, 2)}.get(q, (q, 1))
+    p, e = {16: (2, 4), 9: (3, 2), 27: (3, 3), 25: (5, 2)}.get(q, (q, 1))
     return make_field(p, e)
 
 
@@ -144,7 +144,7 @@ def test_routes_past_the_ring_bound_are_skipped():
 
 
 def test_difference_counts_brute_force():
-    for q, m in [(13, 4), (11, 2), (16, 3)]:
+    for q, m in [(13, 4), (11, 2), (16, 3), (27, 2), (25, 3)]:
         field = _field_of(q)
         h = set(cyclotomic_class(field, m, False).codes.tolist())
         mod = h | {0}

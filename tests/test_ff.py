@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import sympy
 
 from cyclodiff import ff
 from cyclodiff.errors import BoundExceeded, NotPrime, ZeroArgument
@@ -17,6 +18,8 @@ def test_is_prime():
                       47, 53, 59]
     assert not is_prime(1)
     assert not is_prime(91)
+    assert [n for n in range(-2, 5000) if is_prime(n)] == \
+        [n for n in range(-2, 5000) if sympy.isprime(n)]
 
 
 def test_constructor_validation():

@@ -5,6 +5,8 @@ Each check restates a construction rule of cyclodiff.ff in the plainest
 form: the modulus is the first irreducible in code order, the generator
 the first code of order q - 1, exp[k] is g^k by repeated multiplication,
 the trace is the Frobenius sum, and addition works digit by digit.
+The irreducibility test is also checked on every small monic input,
+reducible ones included.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from sympy.polys.galoistools import (gf_add, gf_irreducible_p, gf_mul,
                                      gf_pow_mod, gf_rem, gf_sub)
 
 from cyclodiff.diffsets import prime_powers
-from cyclodiff.ff import make_field
+from cyclodiff.ff import _is_irreducible, make_field
 from cyclodiff.intpoly import prime_factors
 
 FIELDS = [(p, e) for p, e, _ in prime_powers(1024)]
@@ -96,3 +98,16 @@ def test_pinned_modulus_and_generator():
     for (p, e), (modulus, gen) in pinned.items():
         field = make_field(p, e)
         assert (field.modulus, field.generator_code) == (modulus, gen), (p, e)
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(2, 7)), (3, range(2, 5)),
+                                       (5, range(2, 4)), (7, range(2, 4))])
+def test_irreducibility_matches_galoistools(p, degrees):
+    for e in degrees:
+        hits = 0
+        for low in range(p ** e):
+            f = [(low // p ** i) % p for i in range(e)] + [1]
+            got = _is_irreducible(f, p)
+            assert got == gf_irreducible_p(f[::-1], p, ZZ), (p, f)
+            hits += got
+        assert 0 < hits < p ** e

@@ -7,8 +7,9 @@ import pytest
 import sympy as sp
 
 from cyclodiff import groebner
-from cyclodiff.errors import (LimitExceeded, NotZeroDimensional,
-                              OrderMismatch, UncertifiedBasis)
+from cyclodiff.errors import (CyclodiffError, LimitExceeded,
+                              NotZeroDimensional, OrderMismatch,
+                              UncertifiedBasis)
 from cyclodiff.groebner import (GREVLEX, LEX, GBasis, MonomialOrder, QPoly,
                                 buchberger, certify, compute_f_poly,
                                 eliminate_to_univariate, f_table,
@@ -58,13 +59,14 @@ def test_monomial_orders():
     assert max([x2y, xy2], key=GREVLEX.key) == x2y
     assert max([x2y, x3], key=LEX.key) == x3
     assert max([x2y, x3], key=GREVLEX.key) == x3
-    block = MonomialOrder("block", elim=1)
-    # anything touching the first block dominates the second block
-    assert max([(1, 0), (0, 9)], key=block.key) == (1, 0)
+    assert MonomialOrder("grevlex") == GREVLEX != LEX
+    # grevlex and lex are the only kinds
     with pytest.raises(ValueError):
         MonomialOrder("magic")
     with pytest.raises(ValueError):
         MonomialOrder("block")
+    with pytest.raises(TypeError):
+        MonomialOrder("block", elim=1)
 
 
 # -- Buchberger ---------------------------------------------------------------------
@@ -105,16 +107,6 @@ def test_unit_ideal():
     assert staircase(basis) == []
 
 
-def test_block_order_eliminates():
-    # x^2 = y, x^3 = z forces the first-block-free relation y^3 = z^2
-    gens = [_q(3, {(2, 0, 0): 1, (0, 1, 0): -1}),
-            _q(3, {(3, 0, 0): 1, (0, 0, 1): -1})]
-    basis = buchberger(gens, MonomialOrder("block", elim=1))
-    eliminated = [g for g in basis.generators
-                  if all(e[0] == 0 for e, _ in g.terms)]
-    assert _q(3, {(0, 3, 0): 1, (0, 0, 2): -1}) in eliminated
-
-
 def test_stats_populated():
     basis = buchberger(CYCLIC3)
     for key in ("spairs_reduced", "spairs_discarded", "max_coeff_bits",
@@ -136,6 +128,16 @@ def test_limit_exceeded_carries_partial():
         is_zero_dimensional(exc.partial)
     with pytest.raises(UncertifiedBasis):
         staircase(exc.partial)
+
+
+@pytest.mark.parametrize("keyword", ["max_spairs", "max_coeff_bits",
+                                     "timeout"])
+@pytest.mark.parametrize("value", [0, -1, True])
+def test_limit_keywords_are_validated_not_defaulted(keyword, value):
+    # a given limit passes the CYCLODIFF_LIMITS check, so 0 cannot read
+    # as "use the default" nor -1 as a budget that is already spent
+    with pytest.raises(CyclodiffError, match="gb_" + keyword):
+        buchberger(gen_ghat_system(4, 0), **{keyword: value})
 
 
 def test_timeout_stops_inside_the_reducer(monkeypatch):
@@ -198,19 +200,22 @@ def test_staircase_of_box_ideal():
 
 
 def test_empty_variety_gives_unit_poly():
-    for strategy in ("quotient", "block"):
-        out = eliminate_to_univariate(gen_ghat_system(4, 0),
-                                      strategy=strategy)
-        assert out == IntPoly([1]), strategy
+    assert eliminate_to_univariate(gen_ghat_system(4, 0)) == IntPoly([1])
     assert compute_f_poly(4, 0) == IntPoly([1])
 
 
 def test_positive_dimension_detected():
     # the twist-1 variety at order 4 is a curve, so no univariate
-    # relation on the aggregate exists and both routes must say so
-    for strategy in ("quotient", "block"):
-        with pytest.raises(NotZeroDimensional):
-            compute_f_poly(4, 1, strategy=strategy)
+    # relation on the aggregate exists
+    with pytest.raises(NotZeroDimensional):
+        compute_f_poly(4, 1)
+
+
+def test_compute_f_poly_takes_only_the_quotient_strategy():
+    assert compute_f_poly(4, 0, strategy="quotient") == IntPoly([1])
+    for strategy in ("block", "magic"):
+        with pytest.raises(ValueError, match="strategy"):
+            compute_f_poly(4, 0, strategy=strategy)
 
 
 def test_order6_aggregate_polynomials():

@@ -3,7 +3,8 @@
 Every ideal comes from one fixed random.Random seed, so the run is
 deterministic.  sympy's groebner, reduced and is_groebner are the slow
 oracles for buchberger, the fraction-free reducer, normal_form and
-certify.
+certify, and the univariate element of sympy's lex basis is the oracle
+for eliminate_to_univariate.
 """
 
 import random
@@ -12,9 +13,12 @@ import pytest
 import sympy as sp
 from sympy.polys.groebnertools import is_groebner
 
+from cyclodiff.errors import NotZeroDimensional
 from cyclodiff.groebner import (GREVLEX, LEX, GBasis, QPoly, _basis_triples,
                                 _reduce_full, buchberger, certify,
-                                normal_form)
+                                eliminate_to_univariate, normal_form)
+from cyclodiff.intpoly import IntPoly
+from cyclodiff.polysys import MPoly, PolySystem
 
 ORDERS = (("grevlex", GREVLEX), ("lex", LEX))
 
@@ -126,3 +130,43 @@ def test_normal_form_and_certify_agree_with_sympy():
             ring, *_ = sp.ring(syms, sp.QQ, order=name)
             elems = [ring.from_dict(dict(g.terms)) for g in gens]
             assert certify(raw) == is_groebner(elems, ring), (name, gens)
+
+
+def _g_systems(count=40, seed=20261019):
+    """g-level systems of nv generators in nv = 2 or 3 variables, each of
+    2 to 4 terms and total degree at most 2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nv = rng.choice((2, 3))
+        gens = [_random_poly(rng, nv, rng.randint(2, 4), max_deg=2)
+                for _ in range(nv)]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens:
+            out.append(PolySystem(2, "g", None, tuple(map(str, _syms(nv))),
+                                  tuple(MPoly(nv, dict(g.terms))
+                                        for g in gens)))
+    return out
+
+
+def test_elimination_matches_the_univariate_lex_element():
+    # with x0 last in lex, the reduced basis meets Q[x0] in at most one
+    # element, the generator of the elimination ideal; the default
+    # target of a g-level system is g0, here x0
+    kinds = {"relation": 0, "none": 0}
+    for system in _g_systems():
+        syms = _syms(len(system.var_names))
+        exprs = [_expr(QPoly.from_mpoly(p), syms) for p in system.polys]
+        lex = sp.groebner(exprs, *syms[1:], syms[0], order="lex")
+        uni = [g for g in lex.exprs if g.free_symbols <= {syms[0]}]
+        if not uni:
+            kinds["none"] += 1
+            with pytest.raises(NotZeroDimensional):
+                eliminate_to_univariate(system)
+            continue
+        kinds["relation"] += 1
+        coeffs = sp.Poly(uni[0], syms[0]).all_coeffs()[::-1]
+        want = IntPoly([int(c) for c in coeffs]).primitive()
+        assert eliminate_to_univariate(system) == want, system.polys
+    # both outcomes occur in the sample
+    assert kinds["relation"] >= 30 and kinds["none"] >= 1

@@ -115,3 +115,5 @@ def test_euler_phi_and_prime_factors():
     assert [euler_phi(n) for n in (1, 2, 6, 10, 12, 36)] == [1, 1, 2, 4, 4, 12]
     assert prime_factors(360) == [2, 3, 5]
     assert prime_factors(1) == []
+    assert [euler_phi(n) for n in range(1, 2000)] == \
+        [int(sympy.totient(n)) for n in range(1, 2000)]
