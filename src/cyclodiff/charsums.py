@@ -14,8 +14,10 @@ condition that must hold for every power chi^s is one base count vector
 and one exact power sweep, _vanishes_at_powers, on top of reduce_counts;
 the charsum, jacobi and gauss routes of diffsets and the identity suite
 all test through it.  The (class, class, trace-sum) pair tensor is built
-only by _pair_tensor.  The direct route keeps its own literal counter,
-FiniteField.codes_difference_counts, and shares nothing with the sweep.
+only by _pair_tensor, a block of rows at a time.  The class-difference
+identities count with the full histogram FiniteField.codes_difference_counts;
+the direct route of diffsets counts at coset representatives with its own
+counter and shares nothing with the sweep.
 """
 
 from __future__ import annotations
@@ -108,6 +110,9 @@ def chi_eval(chi: Character, s: int, alpha: FFElement) -> CycInt:
 # Counts per decimated block in _vanishes_at_powers, so a sweep over many
 # powers never holds the whole (powers, m, p) stack.
 _SWEEP_BLOCK = 1 << 20
+
+# Pairs per block of rows in _pair_tensor.
+_PAIR_BLOCK = 1 << 18
 
 
 def _decimate(vec: np.ndarray, s, m: int) -> np.ndarray:
@@ -207,13 +212,28 @@ def _row_sum_counts(field: FiniteField, m: int) -> np.ndarray:
 def _pair_tensor(field: FiniteField, m: int) -> np.ndarray:
     """T[i, j, w] = pairs of nonzero (alpha, beta) with dlogs i and j mod m
     and tr(alpha) + tr(beta) = w mod p.  It expands G(chi^s) G(chi^t) for
-    every s, t at once: entry (i, j, w) counts zeta_m^(s i + t j) zeta_p^w."""
+    every s, t at once: entry (i, j, w) counts zeta_m^(s i + t j) zeta_p^w.
+
+    The pairs are counted a block of alpha rows at a time, each block
+    holding at most _PAIR_BLOCK pairs or the size of the tensor, whichever
+    is larger, so memory stays O(block + m^2 p) rather than O(q^2).
+    """
     p = field.p
     t = _tables(field)
     cls = t.dlog % m
-    wsum = (t.trace[:, None] + t.trace[None, :]) % p
-    key = (cls[:, None] * m + cls[None, :]) * p + wsum
-    return np.bincount(key.ravel(), minlength=m * m * p).reshape(m, m, p)
+    size = m * m * p
+    step = max(1, max(_PAIR_BLOCK, size) // len(cls))
+    tensor = None
+    for lo in range(0, len(cls), step):
+        rows = slice(lo, lo + step)
+        wsum = (t.trace[rows, None] + t.trace[None, :]) % p
+        key = (cls[rows, None] * m + cls[None, :]) * p + wsum
+        counts = np.bincount(key.ravel(), minlength=size)
+        if tensor is None:
+            tensor = counts
+        else:
+            tensor += counts
+    return tensor.reshape(m, m, p)
 
 
 # -- the sums themselves ---------------------------------------------------------

@@ -7,16 +7,21 @@ sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
 count from the same class pairs (charsums._class_pairs), and the Gauss
 route builds its own trace tensor (charsums._pair_tensor); all three test
 every power through one exact sweep, charsums._vanishes_at_powers.  The
-direct route counts differences literally, with
-FiniteField.codes_difference_counts, and shares nothing with them.  All
-four work in exact integer arithmetic; the scanner sweeps prime powers
-and flags any nontrivial hit that no known family explains.
+direct route counts differences literally and shares nothing with them:
+it reads only the class codes and field addition, and counts at one
+representative of each coset of H (_pairs_at), because the count is
+constant on cosets.  The full histogram, FiniteField.codes_difference_counts,
+is the slow oracle it is tested against.  All four work in exact integer
+arithmetic.  The scanner sweeps prime powers, builds a field only for a q
+with a feasible instance, and flags any nontrivial hit that no known
+family explains.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
 from typing import Optional
 
@@ -27,11 +32,19 @@ from .errors import BoundExceeded, OrderDoesNotDivide, ZeroGamma, ZeroMultiplier
 from .ff import FFElement, FiniteField, is_prime, make_field
 from .charsums import (_class_sum_counts, _pair_tensor, _require_order,
                        _row_sum_counts, _tables, _vanishes_at_powers)
-from .intpoly import _divisors
 
 VERDICT_DS = "difference_set"
 VERDICT_NOT = "not_difference_set"
 VERDICT_INFEASIBLE = "infeasible_params"
+
+# Sums per block in _pairs_at, so counting at many gammas never holds
+# more than this many codes at once.
+_PAIRS_BLOCK = 1 << 16
+
+# Chunks of scan tasks per pool worker.  Tasks run in ascending q and a
+# large q costs the most, so several chunks a worker keep the last chunk a
+# small share of the work.
+_CHUNKS_PER_WORKER = 8
 
 
 @dataclass(frozen=True)
@@ -120,18 +133,27 @@ def cyclotomic_class(field: FiniteField, m: int,
 
 
 def check_direct(field: FiniteField, cls: CyclotomicClass) -> DSReport:
-    """Count every difference literally; the oracle the other routes answer to."""
+    """Count differences literally; the oracle the other routes answer to.
+
+    Multiplying by a member of H maps H and M onto themselves, so the
+    count N(gamma) = #{b in class : b + gamma in class} is constant on
+    each coset g^i H.  It is counted once per coset, at the m
+    representatives g^0, ..., g^(m-1); the witness is the smallest code
+    whose coset deviates.
+    """
     params = DSParams.from_instance(field.q, cls.m, cls.modified)
     if not params.feasible:
         return DSReport(params, VERDICT_INFEASIBLE, ("direct",))
-    counts = field.codes_difference_counts(cls.codes)[1:]
-    deviant = np.flatnonzero(counts != params.lam)
-    if len(deviant) == 0:
-        family = known_family_match(field.q, cls.m, cls.modified)
+    m = cls.m
+    counts = _pairs_at(field, cls.codes, field.exp_table[:m])
+    deviant = counts != params.lam
+    if not deviant.any():
+        family = known_family_match(field.q, m, cls.modified)
         return DSReport(params, VERDICT_DS, ("direct",), family=family)
-    gamma = int(deviant[0]) + 1
+    coset = field.log_table[1:] % m
+    gamma = int(np.argmax(deviant[coset])) + 1
     return DSReport(params, VERDICT_NOT, ("direct",),
-                    witness=(gamma, int(counts[gamma - 1])))
+                    witness=(gamma, int(counts[coset[gamma - 1]])))
 
 
 def _orbit_reps(m: int):
@@ -216,16 +238,26 @@ def difference_counts(field: FiniteField, m: int, gamma) -> tuple[int, int, int]
     if code == 0:
         raise ZeroGamma("gamma must be nonzero")
     a = int(_class_sum_counts(field, m)[int(field.log_table[code]) % m])
-    b, c = (_pairs_at(field, cyclotomic_class(field, m, modified).codes, code)
+    b, c = (int(_pairs_at(field, cyclotomic_class(field, m, modified).codes,
+                          [code])[0])
             for modified in (False, True))
     return a, b, c
 
 
-def _pairs_at(field: FiniteField, codes: np.ndarray, gamma: int) -> int:
-    """#{y in codes : y + gamma in codes}: one shift and a bitmap lookup."""
+def _pairs_at(field: FiniteField, codes: np.ndarray,
+              gammas) -> np.ndarray:
+    """#{y in codes : y + gamma in codes} for each gamma in gammas: one
+    shift of the codes per gamma and a lookup in a membership bitmap,
+    taking _PAIRS_BLOCK sums at a time."""
     member = np.zeros(field.q, dtype=bool)
     member[codes] = True
-    return int(np.count_nonzero(member[field.codes_add(codes, gamma)]))
+    gammas = np.asarray(gammas, dtype=np.int64)
+    out = np.empty(len(gammas), dtype=np.int64)
+    step = max(1, _PAIRS_BLOCK // max(len(codes), 1))
+    for lo in range(0, len(gammas), step):
+        sums = field.codes_add(codes[None, :], gammas[lo:lo + step, None])
+        out[lo:lo + step] = np.count_nonzero(member[sums], axis=1)
+    return out
 
 
 def known_family_match(q: int, m: int, modified: bool) -> Optional[str]:
@@ -356,38 +388,51 @@ class ClassificationTable:
                 f"{len(self.nontrivial_hits())} nontrivial)")
 
 
-def _scan_rows_for_q(p: int, e: int, q: int, m_set, modified_flags,
+def _feasible_instances(q: int, m_set,
+                        modified_flags) -> list[tuple[int, bool]]:
+    """The feasible (m, modified) pairs of one q, m ascending.
+
+    Feasibility asks m | f - 1 (plain) or m | f + 1 (modified), with
+    f = (q - 1)/m, so f >= m - 1 and m(m - 1) <= q - 1, except for the
+    plain class at f = 1, m = q - 1.  Only those orders are tried: O(sqrt q)
+    work for each q, however large m_set is.
+    """
+    top = (isqrt(4 * q - 3) + 1) // 2          # largest m with m(m-1) <= q-1
+    orders = [m for m in range(1, top + 1) if (q - 1) % m == 0]
+    if q - 1 > top:
+        orders.append(q - 1)
+    return [(m, modified) for m in orders if m_set is None or m in m_set
+            for modified in modified_flags
+            if DSParams.from_instance(q, m, modified).feasible]
+
+
+def _scan_rows_for_q(p: int, e: int, q: int, instances,
                      full_methods: bool) -> list[dict]:
-    rows = []
-    wanted = [d for d in _divisors(q - 1) if m_set is None or d in m_set]
-    if not wanted:
-        return rows
+    """One row for each (m, modified) pair of instances, all on F_q."""
     field = make_field(p, e)
     names = ROUTES if full_methods else ("direct",)
-    for m in wanted:
-        for modified in modified_flags:
-            params = DSParams.from_instance(q, m, modified)
-            if not params.feasible:
-                continue
-            verdicts = run_routes(field, cyclotomic_class(field, m, modified),
-                                  names)
-            verdict = verdicts["direct"]
-            methods = [n for n, v in verdicts.items() if v == verdict]
-            skipped = [n for n, v in verdicts.items() if v == "skipped"]
-            family = None
-            if verdict == VERDICT_DS:
-                family = known_family_match(q, m, modified)
-                if family is None and not params.trivial:
-                    family = "unexplained"
-            row = {
-                "q": q, "p": p, "e": e, "m": m, "modified": modified,
-                "v": params.v, "k": params.k, "lambda": params.lam,
-                "n": params.n, "verdict": verdict,
-                "family": family, "methods": methods,
-            }
-            if skipped:
-                row["skipped"] = skipped
-            rows.append(row)
+    rows = []
+    for m, modified in instances:
+        params = DSParams.from_instance(q, m, modified)
+        verdicts = run_routes(field, cyclotomic_class(field, m, modified),
+                              names)
+        verdict = verdicts["direct"]
+        methods = [n for n, v in verdicts.items() if v == verdict]
+        skipped = [n for n, v in verdicts.items() if v == "skipped"]
+        family = None
+        if verdict == VERDICT_DS:
+            family = known_family_match(q, m, modified)
+            if family is None and not params.trivial:
+                family = "unexplained"
+        row = {
+            "q": q, "p": p, "e": e, "m": m, "modified": modified,
+            "v": params.v, "k": params.k, "lambda": params.lam,
+            "n": params.n, "verdict": verdict,
+            "family": family, "methods": methods,
+        }
+        if skipped:
+            row["skipped"] = skipped
+        rows.append(row)
     return rows
 
 
@@ -397,6 +442,9 @@ def scan(m_range, q_bound: int, modified_mode: str = "both",
 
     m_range may be any container of ints, or None for all divisors of
     q - 1.  modified_mode picks plain classes, modified ones, or both.
+    The feasible instances are listed first, so a field is built only
+    for a q that has one; with workers > 1 the fields go to a process
+    pool in chunks of consecutive q.
     """
     limits = current_limits()
     if q_bound > limits.scan_q_max:
@@ -406,16 +454,20 @@ def scan(m_range, q_bound: int, modified_mode: str = "both",
     flags = {"plain": (False,), "modified": (True,),
              "both": (False, True)}[modified_mode]
     m_set = None if m_range is None else set(m_range)
-    tasks = prime_powers(q_bound)
+    tasks = []
+    for p, e, q in prime_powers(q_bound):
+        instances = _feasible_instances(q, m_set, flags)
+        if instances:
+            tasks.append((p, e, q, instances))
     rows: list[dict] = []
-    if workers > 1:
+    if workers > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor
+        chunk = max(1, len(tasks) // (_CHUNKS_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_rows_for_q, p, e, q, m_set, flags,
-                                   full_methods) for p, e, q in tasks]
-            for fut in futures:
-                rows.extend(fut.result())
+            for part in pool.map(_scan_rows_for_q, *zip(*tasks),
+                                 repeat(full_methods), chunksize=chunk):
+                rows.extend(part)
     else:
-        for p, e, q in tasks:
-            rows.extend(_scan_rows_for_q(p, e, q, m_set, flags, full_methods))
+        for task in tasks:
+            rows.extend(_scan_rows_for_q(*task, full_methods))
     return ClassificationTable(rows)

@@ -349,7 +349,8 @@ class FiniteField:
 
     def codes_difference_counts(self, codes: np.ndarray) -> np.ndarray:
         """counts[c] = ordered pairs in codes x codes whose difference has
-        code c, taking _DIFF_CHUNK rows of pairs at a time."""
+        code c, taking _DIFF_CHUNK rows of pairs at a time.  O(k^2): the
+        literal oracle for the direct route's per-coset counts."""
         counts = np.zeros(self.q, dtype=np.int64)
         k = len(codes)
         for lo in range(0, k, _DIFF_CHUNK):

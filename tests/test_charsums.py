@@ -292,9 +292,11 @@ def test_sweep_matches_the_per_power_loop(monkeypatch):
             assert np.array_equal(_decimate(base, np.arange(m), m), stacked)
 
 
-def test_pair_tensor_matches_the_pair_sum_construction():
+def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch):
     # reference: add every pair of nonzero codes in the field, read the
-    # trace of the sum, and key it by the two classes
+    # trace of the sum, and key it by the two classes; a block of 1 counts
+    # the pairs in as many row blocks as the tensor size allows
+    blocks = (charsums._PAIR_BLOCK, 1)
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
         q, t = field.q, _tables(field)
@@ -305,7 +307,10 @@ def test_pair_tensor_matches_the_pair_sum_construction():
             cls = t.dlog % m
             key = (np.repeat(cls, q - 1) * m + np.tile(cls, q - 1)) * p + w
             want = np.bincount(key, minlength=m * m * p).reshape(m, m, p)
-            assert np.array_equal(_pair_tensor(field, m), want), (q, m)
+            for block in blocks:
+                monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
+                assert np.array_equal(_pair_tensor(field, m), want), \
+                    (q, m, block)
 
 
 def test_identity_suite_past_the_ring_bound_in_p():

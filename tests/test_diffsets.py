@@ -79,6 +79,46 @@ def test_direct_negative_and_witness():
     assert b == count != report.params.lam
 
 
+def test_direct_coset_counts_match_the_full_histogram():
+    # the slow oracle: every ordered pair of class members, one histogram
+    for p, e, q in prime_powers(1024):
+        field = make_field(p, e)
+        for m in [d for d in range(1, q) if (q - 1) % d == 0]:
+            reps = field.exp_table[:m]
+            coset = field.log_table[1:] % m
+            for modified in (False, True):
+                cls = cyclotomic_class(field, m, modified)
+                hist = field.codes_difference_counts(cls.codes)[1:]
+                per_coset = hist[reps - 1]
+                assert np.array_equal(hist, per_coset[coset]), (q, m)
+                assert np.array_equal(
+                    diffsets._pairs_at(field, cls.codes, reps), per_coset)
+                report = check_direct(field, cls)
+                lam = report.params.lam
+                deviant = np.flatnonzero(hist != lam)
+                if lam is None:
+                    want = (VERDICT_INFEASIBLE, None, None)
+                elif len(deviant):
+                    gamma = int(deviant[0]) + 1
+                    want = (VERDICT_NOT, (gamma, int(hist[gamma - 1])), None)
+                else:
+                    want = (VERDICT_DS, None,
+                            known_family_match(q, m, modified))
+                assert (report.verdict, report.witness,
+                        report.family) == want, (q, m, modified)
+
+
+def test_pairs_at_counts_in_blocks(monkeypatch):
+    field = make_field(3, 3)
+    codes = cyclotomic_class(field, 2, True).codes
+    gammas = np.arange(field.q)
+    want = [sum(int(field.codes_add(y, g)) in set(codes.tolist())
+                for y in codes.tolist()) for g in range(field.q)]
+    for block in (1, 5, len(codes) + 1):
+        monkeypatch.setattr(diffsets, "_PAIRS_BLOCK", block)
+        assert diffsets._pairs_at(field, codes, gammas).tolist() == want
+
+
 def test_direct_infeasible():
     field = make_field(13)
     report = check_direct(field, cyclotomic_class(field, 4, False))
@@ -275,3 +315,33 @@ def test_scan_rows_are_feasible_only_and_sorted():
     assert keys == sorted(keys)
     assert isinstance(table, ClassificationTable)
     assert table.to_json().startswith("[")
+
+
+def test_feasible_instances_are_every_feasible_divisor():
+    for _, _, q in prime_powers(2000):
+        want = [(m, modified) for m in range(1, q) if (q - 1) % m == 0
+                for modified in (False, True)
+                if DSParams.from_instance(q, m, modified).feasible]
+        assert diffsets._feasible_instances(q, None, (False, True)) == want
+
+
+def test_scan_builds_a_field_only_for_a_q_with_rows(monkeypatch):
+    built = []
+
+    def counting(p, e=1):
+        built.append(p ** e)
+        return make_field(p, e)
+
+    monkeypatch.setattr(diffsets, "make_field", counting)
+    table = scan(range(10, 23, 2), 3000)
+    assert len(table) > 0
+    assert built == sorted({r["q"] for r in table.rows})
+    built.clear()
+    assert scan({0, 61, 10 ** 4}, 60).rows == [] and built == []
+
+
+def test_parallel_scan_matches_serial():
+    for m_range, bound in ((range(10, 23, 2), 3000), (None, 400),
+                           ({0, 2, 4, 61, 10 ** 4}, 60)):
+        assert scan(m_range, bound, workers=2).rows == \
+            scan(m_range, bound, workers=1).rows
