@@ -9,15 +9,13 @@ relevant cyclotomic polynomial by cyclotomic.reduce_counts.  A passing
 verdict is therefore a statement about integers, not floats.
 
 Every class-sum and Jacobi-row count is a slice of the cyclotomic numbers
-(i, j)_m, so all of them are counted from one place, _class_pairs.  A
-condition that must hold for every power chi^s is one base count vector
-and one exact power sweep, _vanishes_at_powers, on top of reduce_counts;
-the charsum, jacobi and gauss routes of diffsets and the identity suite
-all test through it.  The (class, class, trace-sum) pair tensor is built
-only by _pair_tensor, a block of rows at a time.  The class-difference
-identities count with the full histogram FiniteField.codes_difference_counts;
-the direct route of diffsets counts at coset representatives with its own
-counter and shares nothing with the sweep.
+(i, j)_m, counted in one place, _class_pairs.  Every condition on all
+nontrivial powers chi^s is one base count vector and one exact sweep,
+_vanishes_at_powers, which alone picks the powers (one per Galois orbit);
+the routes of diffsets and the identity suite all test through it.  Every
+histogram over pairs of field elements is counted by _pair_counts, a block
+of rows at a time, each caller with its own literal key.  The direct route
+of diffsets counts differences with its own counter and shares nothing.
 """
 
 from __future__ import annotations
@@ -111,8 +109,11 @@ def chi_eval(chi: Character, s: int, alpha: FFElement) -> CycInt:
 # powers never holds the whole (powers, m, p) stack.
 _SWEEP_BLOCK = 1 << 20
 
-# Pairs per block of rows in _pair_tensor.
+# Pairs per block of rows in _pair_counts.
 _PAIR_BLOCK = 1 << 18
+
+# Entries of an (m, m, p) tensor past which _pair_tensor raises BoundExceeded.
+_TENSOR_MAX = 3 * 10 ** 7
 
 
 def _decimate(vec: np.ndarray, s, m: int) -> np.ndarray:
@@ -141,17 +142,19 @@ def _vanishes(counts: np.ndarray, m: int, p: int = 0) -> bool:
     return not np.any(reduce_counts(counts, m))
 
 
-def _vanishes_at_powers(base: np.ndarray, m: int, powers, p: int = 0) -> bool:
-    """Whether _decimate(base, s, m) is zero for every s in powers.
+def _vanishes_at_powers(base: np.ndarray, m: int, p: int = 0) -> bool:
+    """Whether _decimate(base, s, m) is zero for every nontrivial power s.
 
-    This is the one exact test behind every per-power condition of the
-    charsum, jacobi and gauss routes and of the identity suite.  base is
-    a count vector, or an (m, p) count matrix when p > 0 (see _vanishes).
-    Decimation is linear, so callers fold their targets into base.  The
-    powers are decimated in blocks of at most _SWEEP_BLOCK counts, with
-    one reduction per block.
+    base is a count vector, or an (m, p) count matrix when p > 0 (see
+    _vanishes); decimation is linear, so callers fold their targets in.
+    Only the powers d | m, d < m are tested, one per Galois orbit.  For an
+    integer base, decimating by k s is decimating by s and then applying
+    sigma_k: zeta_m -> zeta_m^k, which for a unit k mod m is an automorphism
+    fixing zeta_p, as gcd(m, p) = 1 whenever m | q - 1.  Every nontrivial s
+    is such a k times d = gcd(s, m), so d decides its whole orbit.  The
+    powers are decimated _SWEEP_BLOCK counts at a time, one reduction each.
     """
-    powers = np.asarray(powers, dtype=np.int64)
+    powers = np.array([d for d in range(1, m) if m % d == 0], dtype=np.int64)
     step = max(1, _SWEEP_BLOCK // base.size)
     return all(_vanishes(_decimate(base, powers[lo:lo + step], m), m, p)
                for lo in range(0, len(powers), step))
@@ -209,31 +212,36 @@ def _row_sum_counts(field: FiniteField, m: int) -> np.ndarray:
     return m * np.bincount(a[b == 0], minlength=m) - np.bincount(a, minlength=m)
 
 
+def _pair_counts(rows: int, cols: int, size: int, keys) -> np.ndarray:
+    """The histogram of keys over a rows x cols grid of pairs: keys maps a
+    slice of rows to its (block, cols) keys, and each block holds at most
+    max(_PAIR_BLOCK, size) pairs, so memory is O(block + size), not O(q^2).
+    """
+    step = max(1, max(_PAIR_BLOCK, size) // cols)
+    total = np.bincount(keys(slice(0, step)).ravel(), minlength=size)
+    for lo in range(step, rows, step):
+        total += np.bincount(keys(slice(lo, lo + step)).ravel(),
+                             minlength=size)
+    return total
+
+
 def _pair_tensor(field: FiniteField, m: int) -> np.ndarray:
     """T[i, j, w] = pairs of nonzero (alpha, beta) with dlogs i and j mod m
     and tr(alpha) + tr(beta) = w mod p.  It expands G(chi^s) G(chi^t) for
     every s, t at once: entry (i, j, w) counts zeta_m^(s i + t j) zeta_p^w.
 
-    The pairs are counted a block of alpha rows at a time, each block
-    holding at most _PAIR_BLOCK pairs or the size of the tensor, whichever
-    is larger, so memory stays O(block + m^2 p) rather than O(q^2).
+    Raises BoundExceeded past _TENSOR_MAX entries.
     """
     p = field.p
+    size = m * m * p
+    if size > _TENSOR_MAX:
+        raise BoundExceeded(f"{m}x{m}x{p} pair tensor past {_TENSOR_MAX}")
     t = _tables(field)
     cls = t.dlog % m
-    size = m * m * p
-    step = max(1, max(_PAIR_BLOCK, size) // len(cls))
-    tensor = None
-    for lo in range(0, len(cls), step):
-        rows = slice(lo, lo + step)
-        wsum = (t.trace[rows, None] + t.trace[None, :]) % p
-        key = (cls[rows, None] * m + cls[None, :]) * p + wsum
-        counts = np.bincount(key.ravel(), minlength=size)
-        if tensor is None:
-            tensor = counts
-        else:
-            tensor += counts
-    return tensor.reshape(m, m, p)
+    # the trace sum first, as a temporary the class key is added into
+    return _pair_counts(len(cls), len(cls), size, lambda r: (
+        (t.trace[r, None] + t.trace[None, :]) % p
+        + (cls[r, None] * m + cls[None, :]) * p)).reshape(m, m, p)
 
 
 # -- the sums themselves ---------------------------------------------------------
@@ -297,12 +305,11 @@ def verify_gauss_conjugate_norm(field: FiniteField, m: int) -> bool:
     # trivial power: counts of tr(alpha) over all of F_q reduce to zero
     if not _vanishes(np.bincount(t.trace_all, minlength=p), p):
         return False
-    ldiff = (t.dlog[:, None] - t.dlog[None, :]) % m
-    wdiff = (t.trace[:, None] - t.trace[None, :]) % p
-    base = np.bincount((ldiff * p + wdiff).ravel(),
-                       minlength=m * p).reshape(m, p)
+    base = _pair_counts(q - 1, q - 1, m * p, lambda r: (
+        (t.dlog[r, None] - t.dlog[None, :]) % m * p
+        + (t.trace[r, None] - t.trace[None, :]) % p)).reshape(m, p)
     base[0, 0] -= q
-    return _vanishes_at_powers(base, m, range(1, m), p)
+    return _vanishes_at_powers(base, m, p)
 
 
 def verify_gauss_opposite_product(field: FiniteField, m: int) -> bool:
@@ -310,12 +317,11 @@ def verify_gauss_opposite_product(field: FiniteField, m: int) -> bool:
     _require_order(field, m)
     q, p = field.q, field.p
     t = _tables(field)
-    ldiff = (t.dlog[:, None] - t.dlog[None, :]) % m
-    wsum = (t.trace[:, None] + t.trace[None, :]) % p
-    base = np.bincount((ldiff * p + wsum).ravel(),
-                       minlength=m * p).reshape(m, p)
+    base = _pair_counts(q - 1, q - 1, m * p, lambda r: (
+        (t.dlog[r, None] - t.dlog[None, :]) % m * p
+        + (t.trace[r, None] + t.trace[None, :]) % p)).reshape(m, p)
     base[t.dlog_neg_one % m, 0] -= q
-    return _vanishes_at_powers(base, m, range(1, m), p)
+    return _vanishes_at_powers(base, m, p)
 
 
 def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
@@ -336,18 +342,19 @@ def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
     f = (field.q - 1) // m
     cls = t.dlog % m
     a_cls, om_cls = _class_pairs(field, m)
-    j1 = (a_cls[:, None] + cls[None, :]) % m
-    j2 = (om_cls[:, None] + cls[None, :]) % m
-    key = (j1 * m + j2) * p + t.trace[None, :]
-    v = np.bincount(key.ravel(), minlength=m * m * p).reshape(m, m, p)
+    u = _pair_tensor(field, m)  # first: V has U's shape and budget
+    v = _pair_counts(len(a_cls), len(cls), m * m * p, lambda r: (
+        ((a_cls[r, None] + cls[None, :]) % m * m
+         + (om_cls[r, None] + cls[None, :]) % m) * p
+        + t.trace[None, :])).reshape(m, m, p)
     j = np.arange(m)
     v[j, (j + t.dlog_neg_one) % m, 0] += f  # the beta = -alpha pairs
-    if not np.array_equal(_pair_tensor(field, m), v):
+    if not np.array_equal(u, v):
         return False
     # degenerate pairs: J(chi^s, chi^-s) = -chi^s(-1)
     base = np.bincount((a_cls - om_cls) % m, minlength=m)
     base[t.dlog_neg_one % m] += 1
-    return _vanishes_at_powers(base, m, range(1, m))
+    return _vanishes_at_powers(base, m)
 
 
 def verify_jacobi_duplication(field: FiniteField, m: int) -> bool:
@@ -366,7 +373,7 @@ def verify_jacobi_duplication(field: FiniteField, m: int) -> bool:
     base = (np.bincount((a + b + dlog4) % m, minlength=m)
             - np.bincount(a[~odd], minlength=m)
             + np.bincount(a[odd], minlength=m))
-    return _vanishes_at_powers(base, m, range(1, m))
+    return _vanishes_at_powers(base, m)
 
 
 def verify_row_sums(field: FiniteField, m: int) -> bool:
@@ -374,7 +381,7 @@ def verify_row_sums(field: FiniteField, m: int) -> bool:
     _require_order(field, m)
     base = _row_sum_counts(field, m) - m * _class_sum_counts(field, m)
     base[0] -= 1
-    return _vanishes_at_powers(base, m, range(1, m))
+    return _vanishes_at_powers(base, m)
 
 
 def _twisted_class_sum_counts(s_mat: np.ndarray, c_gamma: int) -> np.ndarray:
@@ -431,9 +438,10 @@ def verify_class_difference_sums(field: FiniteField, m: int) -> bool:
     w = np.zeros(m, dtype=np.int64)
     np.add.at(w, t.dlog % m, counts[1:])  # nonzero differences by class
     # the beta = gamma diagonal and f times the alpha = 1 term of S_s are
-    # both f when the power is trivial and 0 otherwise, so they cancel
-    return _vanishes_at_powers(w - f * _class_sum_counts(field, m), m,
-                               range(m))
+    # both f when the power is trivial and 0 otherwise, so they cancel;
+    # decimating by s = 0 leaves only the total, at exponent 0
+    base = w - f * _class_sum_counts(field, m)
+    return int(base.sum()) == 0 and _vanishes_at_powers(base, m)
 
 
 def verify_identity_suite(field: FiniteField, m: int) -> dict[str, bool]:

@@ -160,24 +160,30 @@ def _cmd_sums(args) -> int:
 
 
 def _cmd_ds_check(args) -> int:
-    field = _field_from_q(args.q)
-    params = DSParams.from_instance(args.q, args.m, args.modified)
     names = [w.strip() for w in args.methods.split(",") if w.strip()]
+    if not names:
+        raise CyclodiffError("--methods names no route")
     unknown = sorted(set(names) - set(ROUTES))
     if unknown:
         raise CyclodiffError(f"unknown methods: {', '.join(unknown)}")
+    field = _field_from_q(args.q)
+    params = DSParams.from_instance(args.q, args.m, args.modified)
     cls = cyclotomic_class(field, args.m, args.modified)
     verdicts = run_routes(field, cls, names)
     votes = {v for v in verdicts.values() if v != "skipped"}
-    agree = len(votes) == 1
-    verdict = votes.pop() if agree else "disagreement"
+    if len(votes) == 1:
+        verdict = votes.pop()
+    else:
+        verdict = "disagreement" if votes else "undecided"
     family = known_family_match(args.q, args.m, args.modified)
     payload = {"q": args.q, "m": args.m, "modified": args.modified,
                "v": params.v, "k": params.k, "lambda": params.lam,
                "n": params.n, "verdict": verdict, "family": family,
                "methods": verdicts}
     code = EXIT_OK
-    if not agree:
+    if verdict == "undecided":
+        code = EXIT_USAGE   # as gb solve on a limit: no route decided
+    elif verdict == "disagreement":
         code = EXIT_DISCREPANCY
     elif verdict == VERDICT_DS and not params.trivial and family is None:
         payload["family"] = "unexplained"
@@ -187,21 +193,20 @@ def _cmd_ds_check(args) -> int:
 
 
 def _cmd_ds_scan(args) -> int:
+    # ranges, never lists, so a bound like --m-max 10**15 costs nothing
     if args.m is not None:
-        m_range = [args.m]
+        m_range = range(args.m, args.m + 1)
     elif args.m_min is not None or args.m_max is not None:
         lo = args.m_min if args.m_min is not None else 1
         hi = args.m_max if args.m_max is not None else args.q_max - 1
-        m_range = list(range(lo, hi + 1))
+        m_range = range(lo, hi + 1)
     elif args.odd or args.even:
-        m_range = list(range(1, args.q_max))
+        m_range = range(1, args.q_max)
     else:
         m_range = None
-    if m_range is not None:
-        if args.odd:
-            m_range = [m for m in m_range if m % 2 == 1]
-        if args.even:
-            m_range = [m for m in m_range if m % 2 == 0]
+    if m_range is not None and (args.odd or args.even):
+        start = m_range.start + (m_range.start % 2 != args.odd)
+        m_range = range(start, m_range.stop, 2)
     table = scan(m_range, args.q_max, modified_mode=args.modified_mode,
                  full_methods=args.full_methods, workers=args.workers)
     unexplained = table.unexplained()

@@ -20,6 +20,7 @@ family explains.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
@@ -156,17 +157,6 @@ def check_direct(field: FiniteField, cls: CyclotomicClass) -> DSReport:
                     witness=(gamma, int(counts[coset[gamma - 1]])))
 
 
-def _orbit_reps(m: int):
-    """One exponent per orbit of (Z/m)* acting on nontrivial powers.
-
-    The checked conditions are Galois-equivariant: the value at exponent
-    k*s is the zeta_m -> zeta_m^k image of the value at s, and each
-    target transforms the same way, so one representative (a divisor of
-    m) decides the whole orbit.
-    """
-    return [d for d in range(1, m) if m % d == 0]
-
-
 def check_charsum(field: FiniteField, m: int, modified: bool) -> str:
     """Difference set iff every nontrivial class sum hits its target value
     (0 unmodified, -1 - chi^s(-1) modified)."""
@@ -177,8 +167,7 @@ def check_charsum(field: FiniteField, m: int, modified: bool) -> str:
     if modified:
         base[0] += 1
         base[_tables(field).dlog_neg_one % m] += 1
-    holds = _vanishes_at_powers(base, m, _orbit_reps(m))
-    return VERDICT_DS if holds else VERDICT_NOT
+    return VERDICT_DS if _vanishes_at_powers(base, m) else VERDICT_NOT
 
 
 def check_jacobi(field: FiniteField, m: int, modified: bool) -> str:
@@ -192,8 +181,7 @@ def check_jacobi(field: FiniteField, m: int, modified: bool) -> str:
     if modified:
         base[0] += m
         base[_tables(field).dlog_neg_one % m] += m
-    holds = _vanishes_at_powers(base, m, _orbit_reps(m))
-    return VERDICT_DS if holds else VERDICT_NOT
+    return VERDICT_DS if _vanishes_at_powers(base, m) else VERDICT_NOT
 
 
 def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
@@ -208,13 +196,11 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
     if not params.feasible:
         return VERDICT_INFEASIBLE
     q, p = field.q, field.p
-    limits = current_limits()
-    if m > limits.gauss_check_m_max or m * m * p > 3 * 10 ** 7 \
-            or (q - 1) ** 2 > 3 * 10 ** 7:
+    if m > current_limits().gauss_check_m_max or (q - 1) ** 2 > 3 * 10 ** 7:
         raise BoundExceeded(
             f"gauss route needs an {m}x{m}x{p} count tensor for q={q}")
-    t = _tables(field)
     tensor = _pair_tensor(field, m)
+    t = _tables(field)
     idx = np.arange(m)
     lneg = t.dlog_neg_one
     m1 = tensor[(idx - lneg) % m, idx, :]          # j1 = j2 - dlog(-1)
@@ -225,8 +211,7 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
     scale = 1 - m if modified else 1
     # decimating roll(g, l) by s gives roll(decimate(g, s), s l)
     base = m * m1 - m2 - m3 - scale * (gvec + np.roll(gvec, lneg, axis=0))
-    holds = _vanishes_at_powers(base, m, _orbit_reps(m), p)
-    return VERDICT_DS if holds else VERDICT_NOT
+    return VERDICT_DS if _vanishes_at_powers(base, m, p) else VERDICT_NOT
 
 
 def difference_counts(field: FiniteField, m: int, gamma) -> tuple[int, int, int]:
@@ -441,26 +426,31 @@ def scan(m_range, q_bound: int, modified_mode: str = "both",
     """Classify every feasible instance with q <= q_bound and m in m_range.
 
     m_range may be any container of ints, or None for all divisors of
-    q - 1.  modified_mode picks plain classes, modified ones, or both.
-    The feasible instances are listed first, so a field is built only
-    for a q that has one; with workers > 1 the fields go to a process
-    pool in chunks of consecutive q.
+    q - 1; a range is used as it is, never copied.  modified_mode picks
+    plain classes, modified ones, or both.  The feasible instances are
+    listed first, so a field is built only for a q that has one; the
+    fields go to a pool of min(workers, tasks, CPUs) processes, in chunks
+    of consecutive q, when that is more than one.
     """
     limits = current_limits()
     if q_bound > limits.scan_q_max:
         raise BoundExceeded(f"q_bound {q_bound} exceeds {limits.scan_q_max}")
     if modified_mode not in ("plain", "modified", "both"):
         raise ValueError(f"unknown modified_mode {modified_mode!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     flags = {"plain": (False,), "modified": (True,),
              "both": (False, True)}[modified_mode]
-    m_set = None if m_range is None else set(m_range)
+    m_set = (m_range if m_range is None or isinstance(m_range, range)
+             else set(m_range))
     tasks = []
     for p, e, q in prime_powers(q_bound):
         instances = _feasible_instances(q, m_set, flags)
         if instances:
             tasks.append((p, e, q, instances))
     rows: list[dict] = []
-    if workers > 1 and tasks:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(tasks) // (_CHUNKS_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

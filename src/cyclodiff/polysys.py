@@ -273,12 +273,17 @@ class SolutionVector:
     def from_json(cls, text: str) -> "SolutionVector":
         data = json.loads(text)
         vals = []
-        for item in data["values"]:
-            c = CycInt(item["order"], item["coeffs"])
-            den = item.get("den", 1)
-            vals.append(CycNum(c, den) if den != 1 else c)
-        return cls(data["level"], data["m"], data["theta"], tuple(vals),
-                   data["provenance"])
+        try:
+            for item in data["values"]:
+                c = CycInt(item["order"], item["coeffs"])
+                den = item.get("den", 1)
+                vals.append(CycNum(c, den) if den != 1 else c)
+            return cls(data["level"], data["m"], data["theta"], tuple(vals),
+                       data["provenance"])
+        except KeyError as exc:
+            raise ParseError(f"solution JSON lacks the key {exc}") from exc
+        except TypeError as exc:
+            raise ParseError(f"malformed solution JSON: {exc}") from exc
 
 
 def explicit_solution(m: int) -> SolutionVector:

@@ -22,8 +22,8 @@ from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
                                 verify_jacobi_duplication,
                                 verify_jacobi_quotient, verify_row_sums)
 from cyclodiff.cyclotomic import CycInt, cyc_lift, embed, reduce_counts
-from cyclodiff.diffsets import _orbit_reps
-from cyclodiff.errors import OddOrder, OrderDoesNotDivide
+from cyclodiff.diffsets import VERDICT_DS, check_gauss, run_all_checkers
+from cyclodiff.errors import BoundExceeded, OddOrder, OrderDoesNotDivide
 from cyclodiff.ff import dlog, make_field
 
 # prime, extension and characteristic-2 fields for the differential tests
@@ -239,10 +239,10 @@ def _ramanujan_rows(m):
 def _sweep_cases(m, p, rng):
     """(base, powers, p, expected) cases for one order m."""
     rows = _ramanujan_rows(m)
-    lists = {"orbit": _orbit_reps(m), "nontrivial": range(1, m),
-             "all": range(m)}
+    lists = {"divisors": [d for d in range(1, m) if m % d == 0],
+             "nontrivial": range(1, m), "all": range(m)}
     # for each list, a class holding exactly one of its powers
-    lone = {"orbit": max((g for g in rows if g < m), default=None),
+    lone = {"divisors": max((g for g in rows if g < m), default=None),
             "nontrivial": m // 2 if m % 2 == 0 else None, "all": m}
     for name, powers in lists.items():
         classes = {gcd(s, m) for s in powers}
@@ -255,6 +255,9 @@ def _sweep_cases(m, p, rng):
                           np.zeros(m, dtype=np.int64)), True))
         if lone[name] is not None and lone[name] in classes:
             bases.append((rows[lone[name]].copy(), False))
+        if name == "nontrivial":
+            # nonzero at exactly one orbit each, so every divisor counts
+            bases.extend((rows[g].copy(), False) for g in rows if g < m)
         bases.append((np.array([rng.randint(-3, 3) for _ in range(m)]), None))
         # huge entries take the Python-int paths of decimation and reduction
         bases.append((np.full(m, 2 ** 62 - 1, dtype=np.int64),
@@ -273,19 +276,22 @@ def _sweep_cases(m, p, rng):
 
 
 def test_sweep_matches_the_per_power_loop(monkeypatch):
+    # the sweep tests one power per Galois orbit; the oracle loops over
+    # every nontrivial power
     rng = random.Random(20261018)
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
         q = field.q
         for m in [d for d in range(1, q) if (q - 1) % d == 0]:
             for base, powers, pp, want in _sweep_cases(m, p, rng):
-                ref = _loop_reference(base, m, powers, pp)
                 if want is not None:
-                    assert ref == want, (q, m, list(powers), pp)
-                assert _vanishes_at_powers(base, m, powers, pp) == ref
+                    assert _loop_reference(base, m, powers, pp) == want, \
+                        (q, m, list(powers), pp)
+                ref = _loop_reference(base, m, range(1, m), pp)
+                assert _vanishes_at_powers(base, m, pp) == ref, (q, m, pp)
                 with monkeypatch.context() as mp:
                     mp.setattr(charsums, "_SWEEP_BLOCK", 1)  # one power a block
-                    assert _vanishes_at_powers(base, m, powers, pp) == ref
+                    assert _vanishes_at_powers(base, m, pp) == ref
             # a block of powers stacks the one-power decimations
             base = np.array([rng.randint(-9, 9) for _ in range(m)])
             stacked = np.array([_decimate(base, s, m) for s in range(m)])
@@ -311,6 +317,69 @@ def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch):
                 monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
                 assert np.array_equal(_pair_tensor(field, m), want), \
                     (q, m, block)
+
+
+def _gauss_product_references(field, m):
+    """The one-piece literal histograms of the conjugate-norm and
+    opposite-product bases and of the quotient tensor V."""
+    p, t = field.p, _tables(field)
+    ldiff = (t.dlog[:, None] - t.dlog[None, :]) % m
+    wdiff = (t.trace[:, None] - t.trace[None, :]) % p
+    wsum = (t.trace[:, None] + t.trace[None, :]) % p
+    a_cls, om_cls = _class_pairs(field, m)
+    cls = t.dlog % m
+    j1 = (a_cls[:, None] + cls[None, :]) % m
+    j2 = (om_cls[:, None] + cls[None, :]) % m
+    key = (j1 * m + j2) * p + t.trace[None, :]
+    return {"norm": np.bincount((ldiff * p + wdiff).ravel(), minlength=m * p),
+            "opposite": np.bincount((ldiff * p + wsum).ravel(),
+                                    minlength=m * p),
+            "quotient": np.bincount(key.ravel(), minlength=m * m * p)}
+
+
+def test_gauss_product_histograms_count_in_blocks(monkeypatch):
+    # one block row at a time must give the one-piece histograms
+    monkeypatch.setattr(charsums, "_PAIR_BLOCK", 1)
+    counted = []
+    blocked = charsums._pair_counts
+
+    def recording(*args):
+        out = blocked(*args)
+        counted.append(out.copy())
+        return out
+
+    monkeypatch.setattr(charsums, "_pair_counts", recording)
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        for m in [d for d in range(1, field.q) if (field.q - 1) % d == 0]:
+            want = _gauss_product_references(field, m)
+            for name, check in (("norm", verify_gauss_conjugate_norm),
+                                ("opposite", verify_gauss_opposite_product),
+                                ("quotient", verify_jacobi_quotient)):
+                counted.clear()
+                assert check(field, m), (field.q, m, name)
+                # the quotient check counts U (_pair_tensor) before V
+                assert np.array_equal(counted[-1], want[name]), \
+                    (field.q, m, name)
+
+
+def test_tensor_budget_raises_before_counting(monkeypatch):
+    # the budget is patched low, so no test ever asks for a huge tensor
+    field, m = make_field(37), 4
+    size = m * m * 37
+    monkeypatch.setattr(charsums, "_TENSOR_MAX", size)
+    assert _pair_tensor(field, m).shape == (m, m, 37)     # at the budget
+    assert check_gauss(field, m, False) == VERDICT_DS
+    monkeypatch.setattr(charsums, "_TENSOR_MAX", size - 1)
+    monkeypatch.setattr(charsums, "_pair_counts", None)   # never reached
+    for call in (lambda: _pair_tensor(field, m),
+                 lambda: verify_jacobi_quotient(field, m),
+                 lambda: check_gauss(field, m, False)):
+        with pytest.raises(BoundExceeded):
+            call()
+    assert run_all_checkers(field, m, False) == {
+        "direct": VERDICT_DS, "charsum": VERDICT_DS, "jacobi": VERDICT_DS,
+        "gauss": "skipped"}
 
 
 def test_identity_suite_past_the_ring_bound_in_p():

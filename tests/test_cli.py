@@ -151,6 +151,54 @@ def test_ds_check_keeps_method_order_and_skips_past_bounds(capsys):
     assert payload["verdict"] == "difference_set"
 
 
+def test_ds_check_with_no_deciding_route_is_undecided(capsys):
+    # m = 130 is past gauss_check_m_max, so the only route named is skipped
+    assert run(["ds", "check", "--q", "131", "--m", "130",
+                "--methods", "gauss"]) == 1
+    payload = _json_out(capsys)
+    assert payload["verdict"] == "undecided"
+    assert payload["methods"] == {"gauss": "skipped"}
+    # a route that decides still settles the instance
+    assert run(["ds", "check", "--q", "131", "--m", "130",
+                "--methods", "gauss,direct"]) == 0
+    assert _json_out(capsys)["verdict"] == "difference_set"
+
+
+def test_ds_check_with_no_methods_is_a_usage_error(capsys):
+    for methods in ("", ",", " , "):
+        assert run(["ds", "check", "--q", "13", "--m", "3",
+                    "--methods", methods]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "cyclodiff: --methods names no route\n"
+
+
+def test_ds_scan_order_bounds_are_ranges(capsys):
+    # a huge --m-max is a range, never a list: same rows as no bound
+    assert run(["ds", "scan", "--m-max", str(10 ** 15), "--q-max", "100",
+                "--all-rows"]) == 0
+    bounded = _json_out(capsys)
+    assert run(["ds", "scan", "--q-max", "100", "--all-rows"]) == 0
+    assert _json_out(capsys) == bounded
+    # --even alone spans 1..q_max - 1; past scan_q_max it stops on the bound
+    assert run(["ds", "scan", "--even", "--q-max", str(10 ** 12)]) == 1
+    assert "exceeds" in capsys.readouterr().err
+    for parity, want in (("--even", {4, 6, 8}), ("--odd", {3, 5, 7, 9})):
+        assert run(["ds", "scan", parity, "--m-min", "3", "--m-max", "9",
+                    "--q-max", "400", "--all-rows"]) == 0
+        assert {r["m"] for r in _json_out(capsys)["rows"]} == want, parity
+    assert run(["ds", "scan", "--m", "5", "--even", "--q-max", "100",
+                "--all-rows"]) == 0
+    assert _json_out(capsys)["rows"] == []
+
+
+def test_ds_scan_rejects_fewer_than_one_worker(capsys):
+    for workers in ("0", "-3"):
+        assert run(["ds", "scan", "--m", "2", "--q-max", "30",
+                    "--workers", workers]) == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_ds_scan_quadratic(capsys):
     assert run(["ds", "scan", "--m", "2", "--q-max", "60",
                 "--modified-mode", "plain"]) == 0
@@ -201,6 +249,23 @@ def test_sys_verify_pipeline(tmp_path, capsys):
     assert run(["sys", "verify", "--system", str(system),
                 "--solution", str(bad), "--mode", "exact"]) == 2
     assert _json_out(capsys)["ok"] is False
+
+
+def test_sys_verify_rejects_malformed_solution_json(tmp_path, capsys):
+    system = tmp_path / "sys.txt"
+    sol = tmp_path / "sol.json"
+    assert run(["sys", "gen", "--m", "6", "--format", "text",
+                "--output", str(system)]) == 0
+    assert run(["sys", "explicit", "--m", "6", "--output", str(sol)]) == 0
+    no_coeffs = json.loads(sol.read_text())
+    del no_coeffs["values"][2]["coeffs"]
+    for data, missing in (({}, "'values'"), (no_coeffs, "'coeffs'")):
+        sol.write_text(json.dumps(data))
+        assert run(["sys", "verify", "--system", str(system),
+                    "--solution", str(sol)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"cyclodiff: solution JSON lacks the key {missing}\n"
 
 
 def test_sys_from_field_over_an_extension_field(capsys):

@@ -345,3 +345,54 @@ def test_parallel_scan_matches_serial():
                            ({0, 2, 4, 61, 10 ** 4}, 60)):
         assert scan(m_range, bound, workers=2).rows == \
             scan(m_range, bound, workers=1).rows
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def test_scan_caps_the_pool_at_tasks_and_cpus(monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(diffsets.os, "cpu_count", lambda: 3)
+    serial = scan(range(10, 23, 2), 3000).rows
+    assert scan(range(10, 23, 2), 3000, workers=10 ** 6).rows == serial
+    assert scan(range(10, 23, 2), 3000, workers=2).rows == serial
+    assert _RecordingPool.sizes == [3, 2]
+    # one task (F_3, two rows) needs no pool, nor does one CPU
+    assert len(scan([2], 3, workers=8)) == 2
+    monkeypatch.setattr(diffsets.os, "cpu_count", lambda: None)
+    assert scan(range(10, 23, 2), 3000, workers=8).rows == serial
+    assert _RecordingPool.sizes == [3, 2]
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            scan([2], 30, workers=workers)
+
+
+def test_scan_takes_a_range_as_it_is(monkeypatch):
+    def no_range_copies(*args):
+        assert not (args and isinstance(args[0], range)), "range copied"
+        return set(*args)
+
+    monkeypatch.setattr(diffsets, "set", no_range_copies, raising=False)
+    assert scan(range(1, 10 ** 15), 100).rows == scan(None, 100).rows
+    assert scan(range(2, 10 ** 12, 2), 100).rows == \
+        scan(range(2, 100, 2), 100).rows
+    assert scan([2, 4], 100).rows == scan(range(2, 5, 2), 100).rows

@@ -276,6 +276,14 @@ def test_solution_json_round_trip():
         assert back.provenance == json.loads(json.dumps(sol.provenance))
 
 
+def test_solution_json_errors():
+    good = json.loads(explicit_solution(6).to_json())
+    del good["values"][1]["coeffs"]
+    for text in ("{}", json.dumps(good), "[]", '{"values": 5}'):
+        with pytest.raises(ParseError):
+            SolutionVector.from_json(text)
+
+
 def test_planar_probe_values():
     probe = planar_probe(8)
     assert probe == {"m": 8, "q": 73, "q_is_prime": True, "two_is_power": True,
