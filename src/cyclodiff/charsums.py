@@ -112,8 +112,10 @@ _SWEEP_BLOCK = 1 << 20
 # Pairs per block of rows in _pair_counts.
 _PAIR_BLOCK = 1 << 18
 
-# Entries of an (m, m, p) tensor past which _pair_tensor raises BoundExceeded.
+# Entries of an (m, m, p) tensor past which _pair_tensor raises BoundExceeded,
+# and pairs of nonzero elements, (q - 1)^2, past which the gauss route does.
 _TENSOR_MAX = 3 * 10 ** 7
+_PAIRS_MAX = 3 * 10 ** 7
 
 
 def _decimate(vec: np.ndarray, s, m: int) -> np.ndarray:
@@ -218,6 +220,7 @@ def _pair_counts(rows: int, cols: int, size: int, keys) -> np.ndarray:
     max(_PAIR_BLOCK, size) pairs, so memory is O(block + size), not O(q^2).
     """
     step = max(1, max(_PAIR_BLOCK, size) // cols)
+    # the first block is the total: a single-block count holds one histogram
     total = np.bincount(keys(slice(0, step)).ravel(), minlength=size)
     for lo in range(step, rows, step):
         total += np.bincount(keys(slice(lo, lo + step)).ravel(),

@@ -31,8 +31,9 @@ import numpy as np
 from .config import current_limits
 from .errors import BoundExceeded, OrderDoesNotDivide, ZeroGamma, ZeroMultiplier
 from .ff import FFElement, FiniteField, is_prime, make_field
-from .charsums import (_class_sum_counts, _pair_tensor, _require_order,
-                       _row_sum_counts, _tables, _vanishes_at_powers)
+from .charsums import (_PAIRS_MAX, _class_sum_counts, _pair_tensor,
+                       _require_order, _row_sum_counts, _tables,
+                       _vanishes_at_powers)
 
 VERDICT_DS = "difference_set"
 VERDICT_NOT = "not_difference_set"
@@ -68,12 +69,8 @@ class DSParams:
         k = f + 1 if modified else f
         # k(k-1) = lam(v-1) forces m | f+1 or m | f-1 respectively
         num = f + 1 if modified else f - 1
-        if num % m == 0:
-            lam = k * (k - 1) // (q - 1)
-            n = k - lam
-        else:
-            lam = None
-            n = None
+        lam = k * (k - 1) // (q - 1) if num % m == 0 else None
+        n = None if lam is None else k - lam
         return cls(q, k, lam, n, m, f, modified)
 
     @property
@@ -196,9 +193,10 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
     if not params.feasible:
         return VERDICT_INFEASIBLE
     q, p = field.q, field.p
-    if m > current_limits().gauss_check_m_max or (q - 1) ** 2 > 3 * 10 ** 7:
-        raise BoundExceeded(
-            f"gauss route needs an {m}x{m}x{p} count tensor for q={q}")
+    m_max = current_limits().gauss_check_m_max
+    if m > m_max or (q - 1) ** 2 > _PAIRS_MAX:
+        raise BoundExceeded(f"gauss route caps m at {m_max} and (q-1)^2 pairs "
+                            f"at {_PAIRS_MAX}; got m={m}, q={q}")
     tensor = _pair_tensor(field, m)
     t = _tables(field)
     idx = np.arange(m)
@@ -258,20 +256,14 @@ def known_family_match(q: int, m: int, modified: bool) -> Optional[str]:
             if t * t == t2 and t % 2 == 1:
                 return "modified_quartic" if modified else "chowla_quartic"
     if m == 8 and is_prime(q):
-        if not modified:
-            u2, ru = divmod(q - 1, 8)
-            v2, rv = divmod(q - 9, 64)
-            if ru == 0 and rv == 0 and u2 >= 0 and v2 >= 0:
-                u, v = isqrt(u2), isqrt(v2)
-                if u * u == u2 and v * v == v2 and u % 2 == 1 and v % 2 == 1:
-                    return "lehmer_octic"
-        else:
-            u2, ru = divmod(q - 49, 8)
-            v2, rv = divmod(q - 441, 64)
-            if ru == 0 and rv == 0 and u2 >= 0 and v2 >= 0:
-                u, v = isqrt(u2), isqrt(v2)
-                if u * u == u2 and v * v == v2 and u % 2 == 1 and v % 2 == 0:
-                    return "modified_octic"
+        # q = 8u^2 + a = 64v^2 + b, u odd, v odd exactly when odd_v
+        a, b, odd_v = (49, 441, 0) if modified else (1, 9, 1)
+        u2, ru = divmod(q - a, 8)
+        v2, rv = divmod(q - b, 64)
+        if ru == 0 and rv == 0 and u2 >= 0 and v2 >= 0:
+            u, v = isqrt(u2), isqrt(v2)
+            if u * u == u2 and v * v == v2 and u % 2 == 1 and v % 2 == odd_v:
+                return "modified_octic" if modified else "lehmer_octic"
     return None
 
 
@@ -373,20 +365,20 @@ class ClassificationTable:
                 f"{len(self.nontrivial_hits())} nontrivial)")
 
 
-def _feasible_instances(q: int, m_set,
+def _feasible_instances(q: int, m_range,
                         modified_flags) -> list[tuple[int, bool]]:
     """The feasible (m, modified) pairs of one q, m ascending.
 
     Feasibility asks m | f - 1 (plain) or m | f + 1 (modified), with
     f = (q - 1)/m, so f >= m - 1 and m(m - 1) <= q - 1, except for the
     plain class at f = 1, m = q - 1.  Only those orders are tried: O(sqrt q)
-    work for each q, however large m_set is.
+    work for each q, however large m_range is.
     """
     top = (isqrt(4 * q - 3) + 1) // 2          # largest m with m(m-1) <= q-1
     orders = [m for m in range(1, top + 1) if (q - 1) % m == 0]
     if q - 1 > top:
         orders.append(q - 1)
-    return [(m, modified) for m in orders if m_set is None or m in m_set
+    return [(m, modified) for m in orders if m_range is None or m in m_range
             for modified in modified_flags
             if DSParams.from_instance(q, m, modified).feasible]
 
@@ -421,16 +413,23 @@ def _scan_rows_for_q(p: int, e: int, q: int, instances,
     return rows
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan(m_range, q_bound: int, modified_mode: str = "both",
          full_methods: bool = False, workers: int = 1) -> ClassificationTable:
     """Classify every feasible instance with q <= q_bound and m in m_range.
 
     m_range may be any container of ints, or None for all divisors of
-    q - 1; a range is used as it is, never copied.  modified_mode picks
+    q - 1; it is used as it is, never copied.  modified_mode picks
     plain classes, modified ones, or both.  The feasible instances are
     listed first, so a field is built only for a q that has one; the
-    fields go to a pool of min(workers, tasks, CPUs) processes, in chunks
-    of consecutive q, when that is more than one.
+    fields go to a pool of min(workers, tasks, usable CPUs) processes, in
+    chunks of consecutive q, when that is more than one.
     """
     limits = current_limits()
     if q_bound > limits.scan_q_max:
@@ -441,15 +440,13 @@ def scan(m_range, q_bound: int, modified_mode: str = "both",
         raise ValueError(f"workers must be at least 1, got {workers}")
     flags = {"plain": (False,), "modified": (True,),
              "both": (False, True)}[modified_mode]
-    m_set = (m_range if m_range is None or isinstance(m_range, range)
-             else set(m_range))
     tasks = []
     for p, e, q in prime_powers(q_bound):
-        instances = _feasible_instances(q, m_set, flags)
+        instances = _feasible_instances(q, m_range, flags)
         if instances:
             tasks.append((p, e, q, instances))
     rows: list[dict] = []
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    workers = min(workers, len(tasks), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(tasks) // (_CHUNKS_PER_WORKER * workers))

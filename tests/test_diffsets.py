@@ -11,7 +11,8 @@ from cyclodiff.diffsets import (ClassificationTable, DSParams, VERDICT_DS,
                                 cyclotomic_class, difference_counts,
                                 known_family_match, multiplier_check,
                                 prime_powers, run_all_checkers, scan)
-from cyclodiff.errors import (OrderDoesNotDivide, ZeroGamma, ZeroMultiplier)
+from cyclodiff.errors import (BoundExceeded, OrderDoesNotDivide, ZeroGamma,
+                              ZeroMultiplier)
 from cyclodiff.ff import make_field
 
 
@@ -158,6 +159,16 @@ def test_gauss_skips_past_order_budget():
     verdicts = run_all_checkers(field, 102, False)
     assert verdicts["gauss"] == "skipped"
     assert verdicts["direct"] == VERDICT_DS      # H = {1}, trivially lambda=0
+
+
+def test_gauss_budgets_name_their_bounds(monkeypatch):
+    with pytest.raises(BoundExceeded, match="caps m at 64 .* got m=102"):
+        check_gauss(make_field(103), 102, False)
+    # (11 - 1)^2 = 100 pairs, past a pair budget patched to 50; 6^2 is not
+    monkeypatch.setattr(diffsets, "_PAIRS_MAX", 50)
+    with pytest.raises(BoundExceeded, match="pairs at 50; got m=2, q=11"):
+        check_gauss(make_field(11), 2, False)
+    assert check_gauss(make_field(7), 2, False) == VERDICT_DS
 
 
 def test_gauss_decides_prime_fields_past_the_ring_bound():
@@ -340,7 +351,9 @@ def test_scan_builds_a_field_only_for_a_q_with_rows(monkeypatch):
     assert scan({0, 61, 10 ** 4}, 60).rows == [] and built == []
 
 
-def test_parallel_scan_matches_serial():
+def test_parallel_scan_matches_serial(monkeypatch):
+    # two usable CPUs even on a one-CPU runner, so the pool path always runs
+    monkeypatch.setattr(diffsets, "_usable_cpus", lambda: 2)
     for m_range, bound in ((range(10, 23, 2), 3000), (None, 400),
                            ({0, 2, 4, 61, 10 ** 4}, 60)):
         assert scan(m_range, bound, workers=2).rows == \
@@ -371,19 +384,30 @@ def test_scan_caps_the_pool_at_tasks_and_cpus(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(diffsets.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(diffsets, "_usable_cpus", lambda: 3)
     serial = scan(range(10, 23, 2), 3000).rows
     assert scan(range(10, 23, 2), 3000, workers=10 ** 6).rows == serial
     assert scan(range(10, 23, 2), 3000, workers=2).rows == serial
     assert _RecordingPool.sizes == [3, 2]
     # one task (F_3, two rows) needs no pool, nor does one CPU
     assert len(scan([2], 3, workers=8)) == 2
-    monkeypatch.setattr(diffsets.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(diffsets, "_usable_cpus", lambda: 1)
     assert scan(range(10, 23, 2), 3000, workers=8).rows == serial
     assert _RecordingPool.sizes == [3, 2]
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             scan([2], 30, workers=workers)
+
+
+def test_usable_cpus_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(diffsets.os, "sched_getaffinity", lambda pid: {0, 5},
+                        raising=False)
+    monkeypatch.setattr(diffsets.os, "cpu_count", lambda: 64)
+    assert diffsets._usable_cpus() == 2
+    monkeypatch.delattr(diffsets.os, "sched_getaffinity", raising=False)
+    assert diffsets._usable_cpus() == 64
+    monkeypatch.setattr(diffsets.os, "cpu_count", lambda: None)
+    assert diffsets._usable_cpus() == 1
 
 
 def test_scan_takes_a_range_as_it_is(monkeypatch):
