@@ -27,10 +27,9 @@ from .polysys import (MPoly, PolySystem, Residuals, SolutionVector, dft,
                       planar_probe, planar_system, symmetry_transform,
                       system_from_text, system_to_text, theta_reduce,
                       verify_solution)
-from .groebner import (GBasis, GREVLEX, LEX, MonomialOrder, QPoly, buchberger,
-                       certify, compute_f_poly, eliminate_to_univariate,
-                       is_zero_dimensional, normal_form, probe_g0_zero,
-                       staircase)
+from .groebner import (GBasis, buchberger, certify, compute_f_poly,
+                       eliminate_to_univariate, is_zero_dimensional,
+                       normal_form, probe_g0_zero, staircase)
 from .tables import (TABULATED_ORDERS, f_table, nonexistence_gate,
                      product_check)
 

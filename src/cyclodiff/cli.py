@@ -111,13 +111,6 @@ def _emit(args, payload, raw_text: str | None = None) -> None:
         sys.stdout.write(out)
 
 
-def _cyc_json(value) -> dict:
-    if isinstance(value, ps.CycNum):
-        return {"order": value.num.n, "coeffs": list(value.num.coeffs),
-                "den": value.den}
-    return {"order": value.n, "coeffs": list(value.coeffs)}
-
-
 # -- field -----------------------------------------------------------------------
 
 
@@ -146,7 +139,7 @@ def _cmd_sums(args) -> int:
         result = jacobi_sum(chi, args.s, args.t)
     value = result.value
     payload = {"kind": args.kind, "q": args.q, "m": args.m, "s": args.s,
-               "value": _cyc_json(value), "integer": value.as_integer()}
+               "value": ps.cyc_json(value), "integer": value.as_integer()}
     if args.kind == "jacobi":
         payload["t"] = args.t
     if args.numeric:

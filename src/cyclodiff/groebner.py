@@ -4,16 +4,15 @@ The target workload is the twist-indexed quadratic systems of polysys:
 append an aggregate variable, eliminate everything else, and read off
 the univariate polynomial whose roots are the admissible g0 values.
 Elimination has one route: a grevlex basis, then the first linear
-dependence among normal forms of powers of the aggregate.  grevlex and
-lex are the only monomial orders; lex serves the sympy differential
-tests.
+dependence among normal forms of powers of the aggregate.  grevlex is
+the one monomial order and polysys.MPoly the one polynomial type.
 Basis arithmetic is in integers: generators are stored as primitive
-integer polynomials, and reduction is fraction-free, scaling the working
-polynomial by the cofactor of each leading coefficient instead of
-dividing by it.  Pairs are ranked once, when they are created, and kept
-in a heap, so selection costs a logarithm rather than a pass over every
-pending pair.  Stored coefficients are measured after content removal,
-which keeps the intermediate growth observable.
+MPoly, and reduction is fraction-free, scaling the working polynomial
+by the cofactor of each leading coefficient instead of dividing by it.
+Pairs are ranked once, when they are created, and kept in a heap, so
+selection costs a logarithm rather than a pass over every pending
+pair.  Stored coefficients are measured after content removal, which
+keeps the intermediate growth observable.
 """
 
 from __future__ import annotations
@@ -33,88 +32,33 @@ from .polysys import MPoly, PolySystem, gen_ghat_system
 from .tables import f_table
 
 
-# -- monomial orders -------------------------------------------------------------
+# -- the monomial order ----------------------------------------------------------
 
 
-class MonomialOrder:
-    """grevlex or lex.
-
-    key(exps) returns a tuple that sorts monomials ascending, so the
-    leading monomial of a set is the max under key.
-    """
-
-    def __init__(self, kind: str):
-        if kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        self.kind = kind
-
-    @staticmethod
-    def _grevlex_key(exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
-
-    def key(self, exps):
-        if self.kind == "lex":
-            return exps
-        return self._grevlex_key(exps)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind})"
+def _grevlex_key(exps) -> tuple:
+    """Sort key of grevlex, the engine's one monomial order: ascending
+    keys are ascending monomials, so a leading monomial is the max."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+def _lead(terms: dict) -> tuple:
+    return max(terms, key=_grevlex_key)
 
 
 # -- polynomials -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QPoly:
-    """Primitive-integer sparse polynomial; the rational scalars a basis
-    computation passes through are normalized away on storage."""
-
-    nvars: int
-    terms: tuple     # ((exps, coeff), ...) sorted by no particular order
-
-    @classmethod
-    def from_dict(cls, nvars: int, d: dict) -> "QPoly":
-        items = _strip_content(d)
-        return cls(nvars, tuple(sorted(items.items())))
-
-    @classmethod
-    def from_mpoly(cls, p: MPoly) -> "QPoly":
-        return cls.from_dict(p.nvars, dict(p.terms))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def leading(self, order: MonomialOrder):
-        return max((e for e, _ in self.terms), key=order.key)
-
-
 def _strip_content(d: dict) -> dict:
-    """Clear denominators, divide by integer content, make leading-ish sign
-    deterministic (largest exps tuple positive)."""
-    live = {e: Fraction(c) for e, c in d.items() if c != 0}
-    if not live:
+    """Primitive part of an int-coefficient dict: divided by its content,
+    with a positive leading coefficient."""
+    if not d:
         return {}
-    den = 1
-    for c in live.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = {e: int(c * den) for e, c in live.items()}
     g = 0
-    for c in ints.values():
+    for c in d.values():
         g = gcd(g, c)
-    ints = {e: c // g for e, c in ints.items()}
-    if ints[max(ints)] < 0:
-        ints = {e: -c for e, c in ints.items()}
-    return ints
+    if d[_lead(d)] < 0:
+        g = -g
+    return {e: c // g for e, c in d.items()}
 
 
 def _max_bits(d: dict) -> int:
@@ -125,9 +69,9 @@ def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _gen_triple(d: dict, order: MonomialOrder) -> tuple:
+def _gen_triple(d: dict) -> tuple:
     """(terms, leading exps, leading coeff) of an int-coefficient dict."""
-    lead = max(d, key=order.key)
+    lead = _lead(d)
     return d, lead, d[lead]
 
 
@@ -136,7 +80,7 @@ def _gen_triple(d: dict, order: MonomialOrder) -> tuple:
 _DEADLINE_STEPS = 256
 
 
-def _reduce_full(f: dict, gens: list, order: MonomialOrder,
+def _reduce_full(f: dict, gens: list,
                  deadline: Optional[float] = None) -> tuple[dict, int]:
     """Fraction-free remainder of the int polynomial f on division by gens.
 
@@ -149,7 +93,6 @@ def _reduce_full(f: dict, gens: list, order: MonomialOrder,
     and c / gcd(c, glc) times the shifted generator is subtracted.
     Past deadline (a time.monotonic() value) it raises LimitExceeded.
     """
-    okey = order.key
     remainder: dict = {}
     work = {e: c for e, c in f.items() if c}
     mult = 1
@@ -160,7 +103,7 @@ def _reduce_full(f: dict, gens: list, order: MonomialOrder,
             raise LimitExceeded(f"deadline passed after {steps} reduction "
                                 f"steps")
         steps += 1
-        lead = max(work, key=okey)
+        lead = _lead(work)
         for gterms, glead, glc in gens:
             if _divides(glead, lead):
                 c = work[lead]
@@ -186,7 +129,7 @@ def _reduce_full(f: dict, gens: list, order: MonomialOrder,
     return remainder, mult
 
 
-def _spoly(a, b, order: MonomialOrder) -> dict:
+def _spoly(a, b) -> dict:
     """S-polynomial of two int (terms, lead, lc) triples, times
     ac * bc / gcd(ac, bc) so that no coefficient is divided."""
     (at, al, ac), (bt, bl, bc) = a, b
@@ -207,8 +150,7 @@ def _spoly(a, b, order: MonomialOrder) -> dict:
 
 @dataclass
 class GBasis:
-    generators: tuple            # QPoly, reduced
-    order: MonomialOrder
+    generators: tuple            # primitive MPoly, ascending by lead
     nvars: int
     certified: bool
     stats: dict = dc_field(default_factory=dict)
@@ -217,33 +159,21 @@ class GBasis:
         return len(self.generators)
 
     def is_unit_ideal(self) -> bool:
-        # terms are stored ascending, so a constant term alone does not
-        # settle it: the whole polynomial must be that constant
         return (len(self.generators) == 1
-                and len(self.generators[0].terms) == 1
-                and self.generators[0].terms[0][0] == (0,) * self.nvars)
+                and list(self.generators[0].terms) == [(0,) * self.nvars])
 
 
 def _basis_triples(basis: GBasis) -> list:
-    return [_gen_triple(q.as_dict(), basis.order) for q in basis.generators]
+    return [_gen_triple(g.terms) for g in basis.generators]
 
 
-def _as_qpolys(system) -> tuple[int, list]:
-    if isinstance(system, PolySystem):
-        return len(system.var_names), [QPoly.from_mpoly(p)
-                                       for p in system.polys]
-    polys = list(system)
-    if not polys:
-        raise ValueError("empty generating set")
-    return polys[0].nvars, polys
-
-
-def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
+def buchberger(system, seed: int = 0,
                max_spairs: Optional[int] = None,
                max_coeff_bits: Optional[int] = None,
                timeout: Optional[float] = None) -> GBasis:
-    """Reduced Groebner basis with normal pair selection and both of the
-    classical pair-discarding criteria.
+    """Reduced grevlex Groebner basis of a PolySystem or an iterable of
+    MPoly, with normal pair selection and both of the classical
+    pair-discarding criteria.
 
     The seed only permutes tie-breaking among equally ranked pairs, so
     it changes the route, never the reduced basis: a property the tests
@@ -260,15 +190,18 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
     max_spairs = limits.gb_max_spairs
     max_coeff_bits = limits.gb_max_coeff_bits
     timeout = limits.gb_timeout
-    nvars, qpolys = _as_qpolys(system)
+    polys = list(system.polys if isinstance(system, PolySystem) else system)
+    if not polys:
+        raise ValueError("empty generating set")
+    nvars = polys[0].nvars
     t0 = time.monotonic()
     deadline = t0 + timeout
     stats = {"spairs_reduced": 0, "spairs_discarded": 0,
              "max_coeff_bits": 0, "generators": 0, "seconds": 0.0}
 
-    # (terms dict, lead exps, lead coeff), int coefficients
-    basis = [_gen_triple(qp.as_dict(), order) for qp in qpolys
-             if not qp.is_zero()]
+    # (terms dict, lead exps, lead coeff), primitive int coefficients
+    basis = [_gen_triple(_strip_content(p.terms)) for p in polys
+             if not p.is_zero()]
 
     def lcm_of(i, j):
         return tuple(max(x, y) for x, y in zip(basis[i][1], basis[j][1]))
@@ -276,7 +209,7 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
     def pair_rank(i, j):
         lcm = lcm_of(i, j)
         tie = ((i * 2654435761 + j * 40503) ^ seed) & 0xFFFFFFFF
-        return (sum(lcm), order.key(lcm), tie)
+        return (_grevlex_key(lcm), tie)
 
     # a pair's rank is fixed once both generators exist, so each pair is
     # ranked once, on creation; pending is the membership index that the
@@ -293,8 +226,8 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
         add_pairs(new)
 
     def partial_basis():
-        gens = tuple(QPoly.from_dict(nvars, d) for d, _, _ in basis)
-        return GBasis(gens, order, nvars, certified=False, stats=stats)
+        gens = tuple(MPoly(nvars, d) for d, _, _ in basis)
+        return GBasis(gens, nvars, certified=False, stats=stats)
 
     def bail(reason):
         stats["seconds"] = time.monotonic() - t0
@@ -303,7 +236,7 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
 
     def reduce(f, gens):
         try:
-            rem, _ = _reduce_full(f, gens, order, deadline)
+            rem, _ = _reduce_full(f, gens, deadline)
         except LimitExceeded:
             bail(f"timeout after {timeout:.0f}s")
         return _strip_content(rem)
@@ -333,7 +266,7 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
         if settled:
             stats["spairs_discarded"] += 1
             continue
-        rem = reduce(_spoly(basis[i], basis[j], order), basis)
+        rem = reduce(_spoly(basis[i], basis[j]), basis)
         stats["spairs_reduced"] += 1
         if not rem:
             continue
@@ -341,7 +274,7 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
         stats["max_coeff_bits"] = max(stats["max_coeff_bits"], bits)
         if bits > max_coeff_bits:
             bail(f"coefficient growth {bits} bits exceeds {max_coeff_bits}")
-        basis.append(_gen_triple(rem, order))
+        basis.append(_gen_triple(rem))
         add_pairs(len(basis) - 1)
 
     # minimalize: drop generators whose lead another lead divides
@@ -358,22 +291,22 @@ def buchberger(system, order: MonomialOrder = GREVLEX, seed: int = 0,
         rem = reduce(d, others) if others else _strip_content(d)
         if rem:
             reduced.append(rem)
-    gens = tuple(sorted(
-        (QPoly.from_dict(nvars, d) for d in reduced),
-        key=lambda q: order.key(q.leading(order))))
+    reduced.sort(key=lambda d: _grevlex_key(_lead(d)))
+    gens = tuple(MPoly(nvars, d) for d in reduced)
     stats["seconds"] = time.monotonic() - t0
     stats["generators"] = len(gens)
-    return GBasis(gens, order, nvars, certified=True, stats=stats)
+    return GBasis(gens, nvars, certified=True, stats=stats)
 
 
-def normal_form(f: QPoly, basis: GBasis) -> QPoly:
-    """Remainder of f modulo the basis; zero iff f is in the ideal when
-    the basis is certified."""
+def normal_form(f: MPoly, basis: GBasis) -> MPoly:
+    """The primitive part of the remainder of f modulo the basis, with a
+    positive leading coefficient; zero iff f is in the ideal when the
+    basis is certified."""
     if f.nvars != basis.nvars:
         raise OrderMismatch(f"{f.nvars} variables against basis in "
                             f"{basis.nvars}")
-    rem, _ = _reduce_full(dict(f.terms), _basis_triples(basis), basis.order)
-    return QPoly.from_dict(f.nvars, rem)
+    rem, _ = _reduce_full(f.terms, _basis_triples(basis))
+    return MPoly(f.nvars, _strip_content(rem))
 
 
 def certify(basis: GBasis) -> bool:
@@ -381,8 +314,7 @@ def certify(basis: GBasis) -> bool:
     gens = _basis_triples(basis)
     for i in range(len(gens)):
         for j in range(i):
-            s = _spoly(gens[i], gens[j], basis.order)
-            if _reduce_full(s, gens, basis.order)[0]:
+            if _reduce_full(_spoly(gens[i], gens[j]), gens)[0]:
                 return False
     return True
 
@@ -395,7 +327,7 @@ def is_zero_dimensional(basis: GBasis) -> bool:
         raise UncertifiedBasis("zero-dimension test needs a certified basis")
     if basis.is_unit_ideal():
         return True
-    leads = [q.leading(basis.order) for q in basis.generators]
+    leads = [_lead(g.terms) for g in basis.generators]
     for v in range(basis.nvars):
         if not any(e[v] > 0 and all(x == 0 for k, x in enumerate(e) if k != v)
                    for e in leads):
@@ -411,7 +343,7 @@ def staircase(basis: GBasis, cap: int = 65536) -> list:
     the quotient ring when the ideal is zero-dimensional."""
     if not basis.certified:
         raise UncertifiedBasis("staircase needs a certified basis")
-    leads = [q.leading(basis.order) for q in basis.generators]
+    leads = [_lead(g.terms) for g in basis.generators]
     nv = basis.nvars
     seen = {(0,) * nv}
     queue = [(0,) * nv]
@@ -441,7 +373,7 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
     rows: dict = {}                 # pivot monomial -> (vec, combo)
     # current is scale times the normal form of x_var^k, scale being the
     # product of the reducer's multipliers so far
-    current, scale = _reduce_full({(0,) * nv: 1}, gens, basis.order)
+    current, scale = _reduce_full({(0,) * nv: 1}, gens)
     for k in range(max_power + 1):
         vec = {e: Fraction(c, scale) for e, c in current.items()}
         combo = [Fraction(0)] * k + [Fraction(1)]
@@ -472,7 +404,7 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
             return IntPoly([int(c * den) for c in combo]).primitive()
         shifted = {e[:var] + (e[var] + 1,) + e[var + 1:]: c
                    for e, c in current.items()}
-        current, mult = _reduce_full(shifted, gens, basis.order)
+        current, mult = _reduce_full(shifted, gens)
         scale *= mult
     return None
 
@@ -495,7 +427,7 @@ def eliminate_to_univariate(system: PolySystem, target: str = "auto",
     if target == "auto":
         target = "mean_ghat" if system.level == "ghat" else "g0"
     nv = len(system.var_names)
-    polys = [QPoly.from_dict(nv + 1, {e + (0,): c for e, c in p.terms.items()})
+    polys = [MPoly(nv + 1, {e + (0,): c for e, c in p.terms.items()})
              for p in system.polys]
     if target == "mean_ghat":
         if system.level != "ghat":
@@ -509,9 +441,9 @@ def eliminate_to_univariate(system: PolySystem, target: str = "auto",
         agg = {(0,) * nv + (1,): 1, (1,) + (0,) * nv: -1}
     else:
         raise ValueError(f"unknown aggregate {target!r}")
-    polys.append(QPoly.from_dict(nv + 1, agg))
+    polys.append(MPoly(nv + 1, agg))
 
-    basis = buchberger(polys, GREVLEX, seed=seed, **limit_kw)
+    basis = buchberger(polys, seed=seed, **limit_kw)
     if stats_sink is not None:
         stats_sink.update(basis.stats)
     if basis.is_unit_ideal():
@@ -551,11 +483,11 @@ def probe_g0_zero(m: int, theta: int, seed: int = 0, **limit_kw) -> str:
     solution anywhere over C."""
     system = gen_ghat_system(m, theta)
     nv = len(system.var_names)
-    polys = [QPoly.from_mpoly(p) for p in system.polys]
-    polys.append(QPoly.from_dict(nv, {tuple(int(i == k) for k in range(nv)): 1
-                                      for i in range(nv)}))
+    polys = list(system.polys)
+    polys.append(MPoly(nv, {tuple(int(i == k) for k in range(nv)): 1
+                            for i in range(nv)}))
     try:
-        basis = buchberger(polys, GREVLEX, seed=seed, **limit_kw)
+        basis = buchberger(polys, seed=seed, **limit_kw)
     except LimitExceeded:
         return "undecided"
     return "empty" if basis.is_unit_ideal() else "nonempty"

@@ -25,7 +25,7 @@ from .charsums import character, chi_eval, gauss_sum
 from .cyclotomic import CycInt, CycNum, _ivprec, embed
 from .diffsets import VERDICT_DS, check_direct, cyclotomic_class
 from .errors import (ArityMismatch, BoundExceeded, ModeUnsupported,
-                     NotCoprime, OddOrder, OrderDoesNotDivide, ParseError)
+                     NotCoprime, OddOrder, ParseError)
 from .ff import FiniteField, is_prime, make_field
 
 
@@ -45,7 +45,8 @@ class MPoly:
     """Sparse multivariate polynomial with integer coefficients.
 
     Terms map exponent tuples to nonzero coefficients; display order is
-    degree-lexicographic, highest term first.
+    degree-lexicographic, highest term first.  A coefficient that is not
+    an integer (1/2, 2.7) raises ValueError rather than being truncated.
     """
 
     __slots__ = ("nvars", "terms")
@@ -54,9 +55,11 @@ class MPoly:
         self.nvars = nvars
         clean = {}
         for exps, c in (terms or {}).items():
-            c = int(c)
-            if c:
-                clean[tuple(int(e) for e in exps)] = c
+            ci = int(c)
+            if ci != c:
+                raise ValueError(f"non-integral coefficient {c!r}")
+            if ci:
+                clean[tuple(int(e) for e in exps)] = ci
         self.terms = clean
 
     @classmethod
@@ -249,6 +252,14 @@ def planar_system(m: int) -> PolySystem:
 # -- solution vectors ------------------------------------------------------------
 
 
+def cyc_json(value) -> dict:
+    """The JSON form of a CycInt, or of a CycNum with its denominator."""
+    if isinstance(value, CycNum):
+        return {"order": value.num.n, "coeffs": list(value.num.coeffs),
+                "den": value.den}
+    return {"order": value.n, "coeffs": list(value.coeffs)}
+
+
 @dataclass
 class SolutionVector:
     level: str
@@ -258,16 +269,10 @@ class SolutionVector:
     provenance: dict
 
     def to_json(self, indent=None) -> str:
-        vals = []
-        for v in self.values:
-            if isinstance(v, CycNum):
-                vals.append({"order": v.num.n, "coeffs": list(v.num.coeffs),
-                             "den": v.den})
-            else:
-                vals.append({"order": v.n, "coeffs": list(v.coeffs)})
         return json.dumps({"level": self.level, "m": self.m,
                            "theta": self.theta, "provenance": self.provenance,
-                           "values": vals}, indent=indent)
+                           "values": [cyc_json(v) for v in self.values]},
+                          indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "SolutionVector":
@@ -277,6 +282,8 @@ class SolutionVector:
             for item in data["values"]:
                 c = CycInt(item["order"], item["coeffs"])
                 den = item.get("den", 1)
+                if den == 0:
+                    raise ParseError("solution JSON has a zero denominator")
                 vals.append(CycNum(c, den) if den != 1 else c)
             return cls(data["level"], data["m"], data["theta"], tuple(vals),
                        data["provenance"])
@@ -326,8 +333,6 @@ def gauss_solution(field: FiniteField, m: int,
     if m % 2 != 0:
         raise OddOrder(f"gauss solutions feed even-order systems, got m={m}")
     q = field.q
-    if (q - 1) % m != 0:
-        raise OrderDoesNotDivide(f"m={m} does not divide q-1={q - 1}")
     chi = character(field, m)
     vals = [CycInt.integer(m - 1 if modified else -1)]
     for s in range(1, m):
@@ -445,6 +450,15 @@ def verify_solution(system: PolySystem, sol: SolutionVector,
 # -- symmetries ------------------------------------------------------------------
 
 
+def _check_arity(sol: SolutionVector) -> None:
+    """A g-level solution carries m + 1 values (g_0..g_{m-1}, h), a
+    ghat-level one m values."""
+    want = sol.m + 1 if sol.level == "g" else sol.m
+    if len(sol.values) != want:
+        raise ArityMismatch(f"{sol.level}-level solution at m={sol.m} needs "
+                            f"{want} values, got {len(sol.values)}")
+
+
 def symmetry_transform(sol: SolutionVector, transform) -> SolutionVector:
     """Apply one of the solution-set symmetries.
 
@@ -456,6 +470,7 @@ def symmetry_transform(sol: SolutionVector, transform) -> SolutionVector:
     the shift ghat_t -> ghat_{t-r} with theta fixed, reindex permutes
     ghat_t -> ghat_{rt mod m} and divides theta by r.
     """
+    _check_arity(sol)
     name = transform[0]
     m = sol.m
     vals = list(sol.values)
@@ -525,6 +540,7 @@ def dft_bridge(sol: SolutionVector) -> SolutionVector:
     if sol.level != "ghat" or sol.theta is None:
         raise ModeUnsupported("bridge runs from a ghat-level solution "
                               "with a twist index")
+    _check_arity(sol)
     m = sol.m
     g = dft(list(sol.values), inverse=True)
     h = CycInt.root(m // 2, sol.theta)
@@ -539,6 +555,7 @@ def dft_bridge_inverse(sol: SolutionVector) -> SolutionVector:
     """g-level solution  ->  ghat-level solution, recovering theta from h."""
     if sol.level != "g":
         raise ModeUnsupported("inverse bridge runs from a g-level solution")
+    _check_arity(sol)
     m = sol.m
     half = m // 2
     h = sol.values[m]

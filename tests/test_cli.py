@@ -48,6 +48,15 @@ def test_readme_cli_tour_parses():
         parser.parse_args(shlex.split(line)[1:])
 
 
+def test_readme_library_use_runs():
+    # run the block as written: a removed export cannot linger there
+    text = README.read_text()
+    block = re.search(r"Typical library use:\n+```python\n(.*?)```", text,
+                      re.S).group(1)
+    assert "import" in block and "assert" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_split_prime_power():
     assert _split_prime_power(49) == (7, 2)
     assert _split_prime_power(1024) == (2, 10)
@@ -259,13 +268,39 @@ def test_sys_verify_rejects_malformed_solution_json(tmp_path, capsys):
     assert run(["sys", "explicit", "--m", "6", "--output", str(sol)]) == 0
     no_coeffs = json.loads(sol.read_text())
     del no_coeffs["values"][2]["coeffs"]
-    for data, missing in (({}, "'values'"), (no_coeffs, "'coeffs'")):
+    zero_den = json.loads(sol.read_text())
+    zero_den["values"][2]["den"] = 0
+    for data, message in (({}, "lacks the key 'values'"),
+                          (no_coeffs, "lacks the key 'coeffs'"),
+                          (zero_den, "has a zero denominator")):
         sol.write_text(json.dumps(data))
         assert run(["sys", "verify", "--system", str(system),
                     "--solution", str(sol)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"cyclodiff: solution JSON lacks the key {missing}\n"
+        assert out.err == f"cyclodiff: solution JSON {message}\n"
+
+
+def test_sys_bridge_rejects_a_solution_of_the_wrong_length(tmp_path, capsys):
+    # m = 4 needs 5 values at level g and 4 at level ghat; two are refused
+    sol = tmp_path / "sol.json"
+    short = [{"order": 1, "coeffs": [1]}] * 2
+    for level, theta, want in (("ghat", 1, 4), ("g", None, 5)):
+        sol.write_text(json.dumps({"level": level, "m": 4, "theta": theta,
+                                   "provenance": {}, "values": short}))
+        assert run(["sys", "bridge", "--m", "4", "--theta", "1",
+                    "--solution", str(sol)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"cyclodiff: {level}-level solution at m=4 "
+                           f"needs {want} values, got 2\n")
+
+
+def test_sys_from_field_rejects_an_order_that_does_not_divide(capsys):
+    assert run(["sys", "from-field", "--q", "7", "--m", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "cyclodiff: m=0 does not divide q-1=6\n"
 
 
 def test_sys_from_field_over_an_extension_field(capsys):

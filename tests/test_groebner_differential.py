@@ -1,26 +1,28 @@
 """The Buchberger engine against sympy on small random ideals.
 
 Every ideal comes from one fixed random.Random seed, so the run is
-deterministic.  sympy's groebner, reduced and is_groebner are the slow
-oracles for buchberger, the fraction-free reducer, normal_form and
-certify, and the univariate element of sympy's lex basis is the oracle
-for eliminate_to_univariate.
+deterministic.  sympy's grevlex order is the oracle for the engine's
+sort key; sympy's groebner, reduced and is_groebner, all in grevlex,
+are the slow oracles for buchberger, the fraction-free reducer,
+normal_form and certify; and the univariate element of sympy's lex
+basis is the oracle for eliminate_to_univariate.
 """
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy as sp
 from sympy.polys.groebnertools import is_groebner
+from sympy.polys.orderings import grevlex
 
 from cyclodiff.errors import NotZeroDimensional
-from cyclodiff.groebner import (GREVLEX, LEX, GBasis, QPoly, _basis_triples,
+from cyclodiff.groebner import (GBasis, _basis_triples, _grevlex_key,
                                 _reduce_full, buchberger, certify,
                                 eliminate_to_univariate, normal_form)
 from cyclodiff.intpoly import IntPoly
 from cyclodiff.polysys import MPoly, PolySystem
-
-ORDERS = (("grevlex", GREVLEX), ("lex", LEX))
 
 
 def _random_poly(rng, nv, terms, max_deg=3):
@@ -30,7 +32,7 @@ def _random_poly(rng, nv, terms, max_deg=3):
         for _ in range(rng.randint(0, max_deg)):
             e[rng.randrange(nv)] += 1
         d[tuple(e)] = d.get(tuple(e), 0) + rng.choice((-3, -2, -1, 1, 2, 3))
-    return QPoly.from_dict(nv, d)
+    return MPoly(nv, d)
 
 
 def _random_ideals(count=20, seed=20261018):
@@ -55,26 +57,56 @@ def _syms(nv):
     return sp.symbols(f"x0:{nv}")
 
 
-def _expr(q, syms):
+def _expr(p, syms):
     return sp.Add(*[c * sp.Mul(*[s ** k for s, k in zip(syms, e)])
-                    for e, c in q.terms])
+                    for e, c in p.terms.items()])
 
 
 def _sympy_dict(poly):
     return {e: c for e, c in poly.terms() if c}
 
 
-@pytest.mark.parametrize("name,order", ORDERS)
-def test_reduced_bases_match_sympy(name, order):
+def _primitive(nv, poly):
+    """Primitive part of a sympy QQ polynomial, its grevlex lead positive
+    by sympy's own order."""
+    d = {e: Fraction(int(c.numerator), int(c.denominator))
+         for e, c in _sympy_dict(poly).items()}
+    if not d:
+        return MPoly(nv)
+    den = lcm(*(c.denominator for c in d.values()))
+    ints = {e: int(c * den) for e, c in d.items()}
+    g = gcd(*ints.values())
+    if ints[max(ints, key=grevlex)] < 0:
+        g = -g
+    return MPoly(nv, {e: c // g for e, c in ints.items()})
+
+
+def test_grevlex_key_matches_sympy():
+    # half of the pairs are permutations of each other, so equal degrees
+    # and the reverse-lexicographic tie-break are well sampled
+    rng = random.Random(20261020)
+    for _ in range(20000):
+        nv = rng.randint(1, 8)
+        a = tuple(rng.randint(0, 4) for _ in range(nv))
+        if rng.random() < 0.5:
+            b = tuple(rng.sample(a, nv))
+        else:
+            b = tuple(rng.randint(0, 4) for _ in range(nv))
+        ka, kb = _grevlex_key(a), _grevlex_key(b)
+        sa, sb = grevlex(a), grevlex(b)
+        assert ((ka > kb) - (ka < kb)) == ((sa > sb) - (sa < sb)), (a, b)
+
+
+def test_reduced_bases_match_sympy():
     sizes = []
     for nv, gens in IDEALS:
         syms = _syms(nv)
-        ours = buchberger(gens, order)
+        ours = buchberger(gens)
         theirs = sp.groebner([_expr(g, syms) for g in gens], *syms,
-                             order=name)
+                             order="grevlex")
         assert {sp.Poly(_expr(g, syms), *syms).monic()
                 for g in ours.generators} == \
-            {sp.Poly(e, *syms).monic() for e in theirs.exprs}, (name, gens)
+            {sp.Poly(e, *syms).monic() for e in theirs.exprs}, gens
         sizes.append(len(ours))
     # the sample reaches past the trivial one-generator answers
     assert max(sizes) >= 4
@@ -82,54 +114,49 @@ def test_reduced_bases_match_sympy(name, order):
 
 def test_seed_keeps_the_reduced_basis():
     for nv, gens in IDEALS:
-        for _, order in ORDERS:
-            bases = [set(buchberger(gens, order, seed=s).generators)
-                     for s in range(4)]
-            assert all(b == bases[0] for b in bases[1:]), gens
+        bases = [set(buchberger(gens, seed=s).generators) for s in range(4)]
+        assert all(b == bases[0] for b in bases[1:]), gens
 
 
 def test_reducer_remainder_is_a_positive_multiple_of_the_rational_one():
     rng = random.Random(7)
     for nv, gens in IDEALS:
         syms = _syms(nv)
-        for name, order in ORDERS:
-            basis = buchberger(gens, order)
-            # division by the raw generators depends on their order, so
-            # it checks the division route step for step; division by
-            # the basis checks the normal form
-            for divisors in (gens, list(basis.generators)):
-                f = _random_poly(rng, nv, 6, max_deg=4)
-                triples = _basis_triples(GBasis(tuple(divisors), order, nv,
-                                                certified=False))
-                rem, mult = _reduce_full(dict(f.terms), triples, order)
-                assert isinstance(mult, int) and mult > 0
-                assert all(isinstance(c, int) for c in rem.values())
-                _, r = sp.reduced(_expr(f, syms),
-                                  [_expr(g, syms) for g in divisors],
-                                  *syms, order=name)
-                want = _sympy_dict(sp.Poly(r, *syms, domain="QQ"))
-                assert rem == {e: mult * c for e, c in want.items()}, \
-                    (name, f, divisors)
+        basis = buchberger(gens)
+        # division by the raw generators depends on their order, so it
+        # checks the division route step for step; division by the basis
+        # checks the normal form
+        for divisors in (gens, list(basis.generators)):
+            f = _random_poly(rng, nv, 6, max_deg=4)
+            triples = _basis_triples(GBasis(tuple(divisors), nv,
+                                            certified=False))
+            rem, mult = _reduce_full(f.terms, triples)
+            assert isinstance(mult, int) and mult > 0
+            assert all(isinstance(c, int) for c in rem.values())
+            _, r = sp.reduced(_expr(f, syms),
+                              [_expr(g, syms) for g in divisors],
+                              *syms, order="grevlex")
+            want = _sympy_dict(sp.Poly(r, *syms, domain="QQ"))
+            assert rem == {e: mult * c for e, c in want.items()}, \
+                (f, divisors)
 
 
 def test_normal_form_and_certify_agree_with_sympy():
     rng = random.Random(11)
     for nv, gens in IDEALS:
         syms = _syms(nv)
-        for name, order in ORDERS:
-            basis = buchberger(gens, order)
-            theirs = sp.groebner([_expr(g, syms) for g in gens], *syms,
-                                 order=name)
-            f = _random_poly(rng, nv, 6, max_deg=4)
-            nf = normal_form(f, basis)
-            _, r = theirs.reduce(_expr(f, syms))
-            assert nf == QPoly.from_dict(
-                nv, _sympy_dict(sp.Poly(r, *syms, domain="QQ"))), (name, f)
-            assert certify(basis)
-            raw = GBasis(tuple(gens), order, nv, certified=False)
-            ring, *_ = sp.ring(syms, sp.QQ, order=name)
-            elems = [ring.from_dict(dict(g.terms)) for g in gens]
-            assert certify(raw) == is_groebner(elems, ring), (name, gens)
+        basis = buchberger(gens)
+        theirs = sp.groebner([_expr(g, syms) for g in gens], *syms,
+                             order="grevlex")
+        f = _random_poly(rng, nv, 6, max_deg=4)
+        nf = normal_form(f, basis)
+        _, r = theirs.reduce(_expr(f, syms))
+        assert nf == _primitive(nv, sp.Poly(r, *syms, domain="QQ")), f
+        assert certify(basis)
+        raw = GBasis(tuple(gens), nv, certified=False)
+        ring, *_ = sp.ring(syms, sp.QQ, order="grevlex")
+        elems = [ring.from_dict(g.terms) for g in gens]
+        assert certify(raw) == is_groebner(elems, ring), gens
 
 
 def _g_systems(count=40, seed=20261019):
@@ -144,8 +171,7 @@ def _g_systems(count=40, seed=20261019):
         gens = [g for g in gens if not g.is_zero()]
         if gens:
             out.append(PolySystem(2, "g", None, tuple(map(str, _syms(nv))),
-                                  tuple(MPoly(nv, dict(g.terms))
-                                        for g in gens)))
+                                  tuple(gens)))
     return out
 
 
@@ -156,7 +182,7 @@ def test_elimination_matches_the_univariate_lex_element():
     kinds = {"relation": 0, "none": 0}
     for system in _g_systems():
         syms = _syms(len(system.var_names))
-        exprs = [_expr(QPoly.from_mpoly(p), syms) for p in system.polys]
+        exprs = [_expr(p, syms) for p in system.polys]
         lex = sp.groebner(exprs, *syms[1:], syms[0], order="lex")
         uni = [g for g in lex.exprs if g.free_symbols <= {syms[0]}]
         if not uni:

@@ -2,13 +2,14 @@
 verification modes, the symmetry group, and the DFT change of level."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from cyclodiff.config import current_limits
 from cyclodiff.cyclotomic import CycInt, CycNum
 from cyclodiff.errors import (ArityMismatch, ModeUnsupported, NotCoprime,
-                              OddOrder, ParseError)
+                              OddOrder, OrderDoesNotDivide, ParseError)
 from cyclodiff.ff import make_field
 from cyclodiff.polysys import (MPoly, PolySystem, SolutionVector, dft,
                                dft_bridge, dft_bridge_inverse,
@@ -34,6 +35,16 @@ def test_mpoly_arithmetic():
     g = MPoly.var(0, 1, power=3, coeff=-2)
     assert g.total_degree() == 3
     assert g.canonical().sorted_terms()[0][1] > 0
+
+
+def test_mpoly_refuses_non_integral_coefficients():
+    # nothing is truncated: 1/2 is not dropped, 2.7 does not become 2
+    for c in (Fraction(1, 2), 2.7):
+        with pytest.raises(ValueError, match="non-integral"):
+            MPoly(1, {(1,): c, (0,): 1})
+    # integral values of other types are kept, and zeros dropped
+    assert MPoly(1, {(1,): Fraction(4, 2), (0,): 3.0, (2,): 0}) == \
+        MPoly(1, {(1,): 2, (0,): 3})
 
 
 def test_mpoly_canonical_sign():
@@ -92,6 +103,14 @@ def test_gauss_solution_scaled_exact():
     sol11 = gauss_solution(make_field(11), 10, False)
     assert sol11.values[0].as_integer() == -1     # plain side constant
     assert verify_solution(gen_g_system(10), sol11, mode="scaled_exact").ok
+
+
+def test_gauss_solution_needs_an_order_dividing_q_minus_1():
+    # the character's own guard, so m = 0 is refused the same way
+    for m in (0, 4):
+        with pytest.raises(OrderDoesNotDivide,
+                           match=f"m={m} does not divide q-1=6"):
+            gauss_solution(make_field(7), m)
 
 
 def test_gauss_solution_over_extension_fields():
@@ -176,6 +195,27 @@ def test_reindex_on_ghat_adjusts_theta():
     assert moved.theta == (pow(5, -1, 3) * sol.theta) % 3
     assert verify_solution(gen_ghat_system(6, moved.theta), moved,
                            mode="exact").ok
+
+
+def test_bridges_and_symmetries_check_the_arity():
+    # a g-level solution has m + 1 values, a ghat-level one m
+    g = explicit_solution(4)
+    ghat = dft_bridge_inverse(g)
+    short_g = SolutionVector("g", 4, None, g.values[:2], {})
+    short_ghat = SolutionVector("ghat", 4, 1, ghat.values[:2], {})
+    long_ghat = SolutionVector("ghat", 4, 1, g.values, {})
+    for bad in (short_ghat, long_ghat):
+        with pytest.raises(ArityMismatch, match="needs 4 values"):
+            dft_bridge(bad)
+    with pytest.raises(ArityMismatch, match="needs 5 values, got 2"):
+        dft_bridge_inverse(short_g)
+    for bad in (short_g, short_ghat, long_ghat):
+        for transform in (("negate",), ("twist", 1), ("reindex", 3)):
+            with pytest.raises(ArityMismatch):
+                symmetry_transform(bad, transform)
+    # the right lengths still pass
+    assert len(dft_bridge(ghat).values) == 5
+    assert len(symmetry_transform(ghat, ("negate",)).values) == 4
 
 
 # -- DFT bridge ------------------------------------------------------------------
@@ -279,7 +319,10 @@ def test_solution_json_round_trip():
 def test_solution_json_errors():
     good = json.loads(explicit_solution(6).to_json())
     del good["values"][1]["coeffs"]
-    for text in ("{}", json.dumps(good), "[]", '{"values": 5}'):
+    zero_den = json.loads(explicit_solution(6).to_json())
+    zero_den["values"][1]["den"] = 0
+    for text in ("{}", json.dumps(good), "[]", '{"values": 5}',
+                 json.dumps(zero_den)):
         with pytest.raises(ParseError):
             SolutionVector.from_json(text)
 
