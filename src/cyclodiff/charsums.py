@@ -14,8 +14,12 @@ nontrivial powers chi^s is one base count vector and one exact sweep,
 _vanishes_at_powers, which alone picks the powers (one per Galois orbit);
 the routes of diffsets and the identity suite all test through it.  Every
 histogram over pairs of field elements is counted by _pair_counts, a block
-of rows at a time, each caller with its own literal key.  The direct route
-of diffsets counts differences with its own counter and shares nothing.
+of rows at a time, each caller with its own literal key.  The (m, m, p)
+pair tensor of _pair_tensor expands G(chi^s) G(chi^t) for the quotient
+identity; the gauss route of diffsets reads only three slices of it, which
+_gauss_slices counts without the tensor, from the same dlog and trace
+tables.  The direct route of diffsets counts differences with its own
+counter and shares nothing.
 """
 
 from __future__ import annotations
@@ -228,6 +232,11 @@ def _pair_counts(rows: int, cols: int, size: int, keys) -> np.ndarray:
     return total
 
 
+def _require_tensor_budget(m: int, p: int) -> None:
+    if m * m * p > _TENSOR_MAX:
+        raise BoundExceeded(f"{m}x{m}x{p} pair tensor past {_TENSOR_MAX}")
+
+
 def _pair_tensor(field: FiniteField, m: int) -> np.ndarray:
     """T[i, j, w] = pairs of nonzero (alpha, beta) with dlogs i and j mod m
     and tr(alpha) + tr(beta) = w mod p.  It expands G(chi^s) G(chi^t) for
@@ -237,14 +246,52 @@ def _pair_tensor(field: FiniteField, m: int) -> np.ndarray:
     """
     p = field.p
     size = m * m * p
-    if size > _TENSOR_MAX:
-        raise BoundExceeded(f"{m}x{m}x{p} pair tensor past {_TENSOR_MAX}")
+    _require_tensor_budget(m, p)
     t = _tables(field)
     cls = t.dlog % m
     # the trace sum first, as a temporary the class key is added into
     return _pair_counts(len(cls), len(cls), size, lambda r: (
         (t.trace[r, None] + t.trace[None, :]) % p
         + (cls[r, None] * m + cls[None, :]) * p)).reshape(m, m, p)
+
+
+def _gauss_slices(field: FiniteField, m: int):
+    """The three slices of _pair_tensor's T that the gauss route reads,
+    counted without T, in O(m p + block) memory:
+
+    a[i, w]  = #{alpha != 0 : dlog alpha = i mod m, tr alpha = w};
+    m1[j]    = T[j - dlog(-1), j], counted over the (q - 1)^2 / m pairs of
+               those two classes, whose traces are rows of the dlog-ordered
+               grid[i, k] = tr(g^(i + m k));
+    m2[j]    = sum over i of T[i, j] = h * a[j], the cyclic convolution over
+               traces with the trace histogram h of the nonzero elements.
+
+    h takes at most two values on a field, but nothing here assumes it:
+    m2 is c sum(a[j]) for the commonest value c of h, plus one roll of a
+    for each trace where h differs from c.  Raises BoundExceeded where
+    _pair_tensor would, so both routes skip the same instances.
+    """
+    p = field.p
+    _require_tensor_budget(m, p)
+    t = _tables(field)
+    a = np.bincount(t.dlog % m * p + t.trace, minlength=m * p).reshape(m, p)
+    by_dlog = np.empty_like(t.trace)
+    by_dlog[t.dlog] = t.trace
+    grid = by_dlog.reshape(-1, m).T  # one row per class, in dlog order
+    # row r of the count pairs the r-th alpha of class j - dlog(-1) with
+    # every beta of class j = row_cls[r]
+    left = grid[(np.arange(m) - t.dlog_neg_one) % m].ravel()
+    row_cls = np.repeat(np.arange(m), grid.shape[1])
+    m1 = _pair_counts(len(left), grid.shape[1], m * p, lambda r: (
+        (left[r, None] + grid[row_cls[r]]) % p
+        + row_cls[r, None] * p)).reshape(m, p)
+    h = a.sum(axis=0)
+    values, counts = np.unique(h, return_counts=True)
+    c = int(values[np.argmax(counts)])
+    m2 = np.repeat(c * a.sum(axis=1, keepdims=True), p, axis=1)
+    for u in np.flatnonzero(h != c):
+        m2 += (int(h[u]) - c) * np.roll(a, u, axis=1)
+    return a, m1, m2
 
 
 # -- the sums themselves ---------------------------------------------------------

@@ -5,8 +5,9 @@ H with zero appended.  Four routes decide whether such a class is a
 difference set: literal difference counting, class sums, Jacobi row
 sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
 count from the same class pairs (charsums._class_pairs), and the Gauss
-route builds its own trace tensor (charsums._pair_tensor); all three test
-every power through one exact sweep, charsums._vanishes_at_powers.  The
+route counts its own slices of the trace pair tensor from the dlog and
+trace tables (charsums._gauss_slices); all three test every power through
+one exact sweep, charsums._vanishes_at_powers.  The
 direct route counts differences literally and shares nothing with them:
 it reads only the class codes and field addition, and counts at one
 representative of each coset of H (_pairs_at), because the count is
@@ -31,7 +32,7 @@ import numpy as np
 from .config import current_limits
 from .errors import BoundExceeded, OrderDoesNotDivide, ZeroGamma, ZeroMultiplier
 from .ff import FFElement, FiniteField, is_prime, make_field
-from .charsums import (_PAIRS_MAX, _class_sum_counts, _pair_tensor,
+from .charsums import (_PAIRS_MAX, _class_sum_counts, _gauss_slices,
                        _require_order, _row_sum_counts, _tables,
                        _vanishes_at_powers)
 
@@ -186,8 +187,15 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
     sum over t != s of chi^t(-1) G_t G_{s-t} equals (1 + chi^s(-1)) G_s,
     times (1 - m) in the modified case, for every nontrivial s.
 
-    Works on exponent-count tensors, so nothing is ever rounded; raises
-    BoundExceeded when the tensors would not fit the configured budget.
+    Works on exponent counts, so nothing is ever rounded.  The pair
+    tensor T[i, j, w] of charsums._pair_tensor expands every G_s G_t, but
+    the relation reads only its slice T[j - dlog(-1), j] and its two
+    marginals, which charsums._gauss_slices counts without building T:
+    the slice over (q - 1)^2 / m pairs, and the marginals as convolutions
+    of the per-class trace histogram.  Raises BoundExceeded past
+    gauss_check_m_max, the (q - 1)^2 pair budget or the m m p tensor
+    budget, the bounds of the full tensor, so the skipped instances do
+    not depend on how the slices are counted.
     """
     params = DSParams.from_instance(field.q, m, modified)
     if not params.feasible:
@@ -197,18 +205,13 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
     if m > m_max or (q - 1) ** 2 > _PAIRS_MAX:
         raise BoundExceeded(f"gauss route caps m at {m_max} and (q-1)^2 pairs "
                             f"at {_PAIRS_MAX}; got m={m}, q={q}")
-    tensor = _pair_tensor(field, m)
-    t = _tables(field)
-    idx = np.arange(m)
-    lneg = t.dlog_neg_one
-    m1 = tensor[(idx - lneg) % m, idx, :]          # j1 = j2 - dlog(-1)
-    m2 = tensor.sum(axis=0)                        # marginal over j1
-    m3 = tensor.sum(axis=1)[(idx - lneg) % m, :]   # marginal, re-centred
-    gvec = np.zeros((m, p), dtype=np.int64)
-    np.add.at(gvec, (t.dlog % m, t.trace), 1)
+    a, m1, m2 = _gauss_slices(field, m)
+    lneg = _tables(field).dlog_neg_one
+    # the pair tensor is symmetric, so its other marginal is m2, re-centred
+    m3 = m2[(np.arange(m) - lneg) % m]
     scale = 1 - m if modified else 1
-    # decimating roll(g, l) by s gives roll(decimate(g, s), s l)
-    base = m * m1 - m2 - m3 - scale * (gvec + np.roll(gvec, lneg, axis=0))
+    # decimating roll(a, l) by s gives roll(decimate(a, s), s l)
+    base = m * m1 - m2 - m3 - scale * (a + np.roll(a, lneg, axis=0))
     return VERDICT_DS if _vanishes_at_powers(base, m, p) else VERDICT_NOT
 
 

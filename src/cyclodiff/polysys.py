@@ -46,7 +46,9 @@ class MPoly:
 
     Terms map exponent tuples to nonzero coefficients; display order is
     degree-lexicographic, highest term first.  A coefficient that is not
-    an integer (1/2, 2.7) raises ValueError rather than being truncated.
+    an integer (1/2, 2.7), an exponent that is not a nonnegative integer
+    (1.5, -1) and an exponent tuple whose length is not nvars each raise
+    ValueError rather than being truncated or kept.
     """
 
     __slots__ = ("nvars", "terms")
@@ -58,8 +60,15 @@ class MPoly:
             ci = int(c)
             if ci != c:
                 raise ValueError(f"non-integral coefficient {c!r}")
+            key = tuple(int(e) for e in exps)
+            if len(key) != nvars:
+                raise ValueError(f"exponent tuple {tuple(exps)!r} in "
+                                 f"{nvars} variables")
+            if key != tuple(exps) or min(key, default=0) < 0:
+                raise ValueError(f"exponents {tuple(exps)!r} are not "
+                                 f"nonnegative integers")
             if ci:
-                clean[tuple(int(e) for e in exps)] = ci
+                clean[key] = ci
         self.terms = clean
 
     @classmethod
@@ -260,6 +269,10 @@ def cyc_json(value) -> dict:
     return {"order": value.n, "coeffs": list(value.coeffs)}
 
 
+# the levels a solution may live at: the g system and its Fourier image
+_LEVELS = ("g", "ghat")
+
+
 @dataclass
 class SolutionVector:
     level: str
@@ -285,6 +298,9 @@ class SolutionVector:
                 if den == 0:
                     raise ParseError("solution JSON has a zero denominator")
                 vals.append(CycNum(c, den) if den != 1 else c)
+            if data["level"] not in _LEVELS:
+                raise ParseError(f"solution JSON has an unknown level "
+                                 f"{data['level']!r}")
             return cls(data["level"], data["m"], data["theta"], tuple(vals),
                        data["provenance"])
         except KeyError as exc:
@@ -452,7 +468,10 @@ def verify_solution(system: PolySystem, sol: SolutionVector,
 
 def _check_arity(sol: SolutionVector) -> None:
     """A g-level solution carries m + 1 values (g_0..g_{m-1}, h), a
-    ghat-level one m values."""
+    ghat-level one m values; any other level is refused."""
+    if sol.level not in _LEVELS:
+        raise ModeUnsupported(f"solution level {sol.level!r} is not one of "
+                              f"{', '.join(_LEVELS)}")
     want = sol.m + 1 if sol.level == "g" else sol.m
     if len(sol.values) != want:
         raise ArityMismatch(f"{sol.level}-level solution at m={sol.m} needs "

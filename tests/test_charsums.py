@@ -10,7 +10,7 @@ from sympy import mobius, totient
 
 from cyclodiff import charsums
 from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
-                                _pair_tensor, _tables,
+                                _gauss_slices, _pair_tensor, _tables,
                                 _twisted_class_sum_counts,
                                 _vanishes_at_powers, character, chi_eval,
                                 gauss_sum, h_class_sum, jacobi_row_sum,
@@ -21,8 +21,10 @@ from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
                                 verify_identity_suite,
                                 verify_jacobi_duplication,
                                 verify_jacobi_quotient, verify_row_sums)
+from cyclodiff.config import current_limits
 from cyclodiff.cyclotomic import CycInt, cyc_lift, embed, reduce_counts
-from cyclodiff.diffsets import VERDICT_DS, check_gauss, run_all_checkers
+from cyclodiff.diffsets import (VERDICT_DS, check_direct, check_gauss,
+                               cyclotomic_class, run_all_checkers)
 from cyclodiff.errors import BoundExceeded, OddOrder, OrderDoesNotDivide
 from cyclodiff.ff import dlog, make_field
 
@@ -317,6 +319,45 @@ def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch):
                 monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
                 assert np.array_equal(_pair_tensor(field, m), want), \
                     (q, m, block)
+
+
+def test_gauss_slices_match_the_pair_tensor(monkeypatch):
+    # the slices the gauss route reads, against the full tensor: the
+    # diagonal T[j - dlog(-1), j] and both marginals (T is symmetric);
+    # a, the per-class trace histogram, against a literal count
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        q, t = field.q, _tables(field)
+        for m in [d for d in range(1, q) if (q - 1) % d == 0]:
+            j = np.arange(m)
+            want_a = np.zeros((m, p), dtype=np.int64)
+            np.add.at(want_a, (t.dlog % m, t.trace), 1)
+            for block in (charsums._PAIR_BLOCK, 1):
+                monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
+                tensor = _pair_tensor(field, m)
+                a, m1, m2 = _gauss_slices(field, m)
+                assert np.array_equal(a, want_a), (q, m, block)
+                assert np.array_equal(
+                    m1, tensor[(j - t.dlog_neg_one) % m, j]), (q, m, block)
+                assert np.array_equal(m2, tensor.sum(axis=0)), (q, m, block)
+                assert np.array_equal(m2, tensor.sum(axis=1)), (q, m, block)
+
+
+def test_gauss_route_never_builds_the_pair_tensor(monkeypatch):
+    def refuse(field, m):
+        raise AssertionError("check_gauss built the pair tensor")
+
+    monkeypatch.setattr(charsums, "_pair_tensor", refuse)
+    m_max = current_limits().gauss_check_m_max
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        for m in [d for d in range(2, min(field.q, m_max + 1))
+                  if (field.q - 1) % d == 0]:
+            for modified in (False, True):
+                direct = check_direct(field,
+                                      cyclotomic_class(field, m, modified))
+                assert check_gauss(field, m, modified) == direct.verdict, \
+                    (field.q, m, modified)
 
 
 def _gauss_product_references(field, m):

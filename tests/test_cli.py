@@ -270,9 +270,12 @@ def test_sys_verify_rejects_malformed_solution_json(tmp_path, capsys):
     del no_coeffs["values"][2]["coeffs"]
     zero_den = json.loads(sol.read_text())
     zero_den["values"][2]["den"] = 0
+    bad_level = json.loads(sol.read_text())
+    bad_level["level"] = "foo"
     for data, message in (({}, "lacks the key 'values'"),
                           (no_coeffs, "lacks the key 'coeffs'"),
-                          (zero_den, "has a zero denominator")):
+                          (zero_den, "has a zero denominator"),
+                          (bad_level, "has an unknown level 'foo'")):
         sol.write_text(json.dumps(data))
         assert run(["sys", "verify", "--system", str(system),
                     "--solution", str(sol)]) == 1

@@ -45,6 +45,18 @@ def test_mpoly_refuses_non_integral_coefficients():
     # integral values of other types are kept, and zeros dropped
     assert MPoly(1, {(1,): Fraction(4, 2), (0,): 3.0, (2,): 0}) == \
         MPoly(1, {(1,): 2, (0,): 3})
+    assert MPoly(2, {(2.0, 1): 3}).terms == {(2, 1): 3}
+
+
+@pytest.mark.parametrize("nvars, exps, message", [
+    (1, (1.5,), "nonnegative integers"),   # used to become (1,)
+    (1, (-1,), "nonnegative integers"),    # used to be kept
+    (2, (1,), "in 2 variables"),           # a short tuple, kept
+    (1, (1, 0), "in 1 variables"),         # a long tuple, kept
+])
+def test_mpoly_refuses_bad_exponents(nvars, exps, message):
+    with pytest.raises(ValueError, match=message):
+        MPoly(nvars, {exps: 1})
 
 
 def test_mpoly_canonical_sign():
@@ -325,6 +337,20 @@ def test_solution_json_errors():
                  json.dumps(zero_den)):
         with pytest.raises(ParseError):
             SolutionVector.from_json(text)
+    for level in ("foo", "G", None, 1):
+        data = json.loads(explicit_solution(6).to_json())
+        data["level"] = level
+        with pytest.raises(ParseError, match="unknown level"):
+            SolutionVector.from_json(json.dumps(data))
+
+
+def test_symmetries_refuse_an_unknown_level():
+    # a 4-value solution at m = 4 with level "foo" used to come back from
+    # negate relabelled "ghat"
+    sol = SolutionVector("foo", 4, None, (CycInt.integer(1),) * 4, {})
+    for transform in (("negate",), ("twist", 1), ("reindex", 3)):
+        with pytest.raises(ModeUnsupported, match="'foo' is not one of"):
+            symmetry_transform(sol, transform)
 
 
 def test_planar_probe_values():
