@@ -14,11 +14,13 @@ nontrivial powers chi^s is one base count vector and one exact sweep,
 _vanishes_at_powers, which alone picks the powers (one per Galois orbit);
 the routes of diffsets and the identity suite all test through it.  Every
 histogram over pairs of field elements is counted by _pair_counts, a block
-of rows at a time, each caller with its own literal key.  The (m, m, p)
-pair tensor of _pair_tensor expands G(chi^s) G(chi^t) for the quotient
-identity; the gauss route of diffsets reads only three slices of it, which
-_gauss_slices counts without the tensor, from the same dlog and trace
-tables.  The direct route of diffsets counts differences with its own
+of rows at a time, each caller with its own literal key.  The products
+G(chi^s) G(chi^t) expand into the (m, m, p) pair tensor of traces by
+class, which is never built: _class_pair_sums counts one (m, p) slab of it
+from the dlog-ordered trace grid, _class_grid.  The gauss route of
+diffsets reads one such slab (through _gauss_slices), and the quotient
+identity compares the tensor with its Jacobi expansion one class slab at a
+time.  The direct route of diffsets counts differences with its own
 counter and shares nothing.
 """
 
@@ -97,7 +99,7 @@ def chi_eval(chi: Character, s: int, alpha: FFElement) -> CycInt:
     own right; it is not the s-th power of chi(0).
     """
     m = chi.m
-    if alpha.code == 0:
+    if chi.field._check(alpha).code == 0:
         return CycInt.integer(1 if s % m == 0 else 0, m)
     j = int(chi.field.log_table[alpha.code])
     return CycInt.root(m, s * j)
@@ -116,8 +118,9 @@ _SWEEP_BLOCK = 1 << 20
 # Pairs per block of rows in _pair_counts.
 _PAIR_BLOCK = 1 << 18
 
-# Entries of an (m, m, p) tensor past which _pair_tensor raises BoundExceeded,
-# and pairs of nonzero elements, (q - 1)^2, past which the gauss route does.
+# Bins of the m class slabs, m m p, past which the Gauss-product paths raise
+# BoundExceeded, and pairs of nonzero elements, (q - 1)^2, past which the
+# gauss route does.
 _TENSOR_MAX = 3 * 10 ** 7
 _PAIRS_MAX = 3 * 10 ** 7
 
@@ -233,58 +236,51 @@ def _pair_counts(rows: int, cols: int, size: int, keys) -> np.ndarray:
 
 
 def _require_tensor_budget(m: int, p: int) -> None:
+    """Raise BoundExceeded when m class slabs of m p bins each, the work of
+    expanding every G(chi^s) G(chi^t), pass _TENSOR_MAX entries.  Both
+    Gauss-product paths check it before counting anything."""
     if m * m * p > _TENSOR_MAX:
         raise BoundExceeded(f"{m}x{m}x{p} pair tensor past {_TENSOR_MAX}")
 
 
-def _pair_tensor(field: FiniteField, m: int) -> np.ndarray:
-    """T[i, j, w] = pairs of nonzero (alpha, beta) with dlogs i and j mod m
-    and tr(alpha) + tr(beta) = w mod p.  It expands G(chi^s) G(chi^t) for
-    every s, t at once: entry (i, j, w) counts zeta_m^(s i + t j) zeta_p^w.
+def _class_grid(field: FiniteField, m: int) -> np.ndarray:
+    """grid[i, k] = tr(g^(i + m k)): row i holds the traces of class i, in
+    dlog order, copied so that the counts gather contiguous rows."""
+    return _tables(field).trace_all[field.exp_table].reshape(-1, m).T.copy()
 
-    Raises BoundExceeded past _TENSOR_MAX entries.
-    """
-    p = field.p
-    size = m * m * p
-    _require_tensor_budget(m, p)
-    t = _tables(field)
-    cls = t.dlog % m
-    # the trace sum first, as a temporary the class key is added into
-    return _pair_counts(len(cls), len(cls), size, lambda r: (
-        (t.trace[r, None] + t.trace[None, :]) % p
-        + (cls[r, None] * m + cls[None, :]) * p)).reshape(m, m, p)
+
+def _class_pair_sums(grid: np.ndarray, left: np.ndarray, p: int) -> np.ndarray:
+    """out[j, w] = #{alpha in class left[j], beta in class j :
+    tr alpha + tr beta = w}, one (m, p) slab over (q - 1)^2 / m pairs."""
+    m, f = grid.shape
+    lhs = grid[left].ravel()
+    row_cls = np.repeat(np.arange(m), f)
+    return _pair_counts(m * f, f, m * p, lambda r: (
+        (lhs[r, None] + grid[row_cls[r]]) % p
+        + row_cls[r, None] * p)).reshape(m, p)
 
 
 def _gauss_slices(field: FiniteField, m: int):
-    """The three slices of _pair_tensor's T that the gauss route reads,
-    counted without T, in O(m p + block) memory:
+    """What the gauss route reads of the pair tensor
+    T[i, j, w] = #{nonzero alpha, beta in classes i, j : tr alpha + tr beta = w},
+    counted in O(m p + block) memory:
 
     a[i, w]  = #{alpha != 0 : dlog alpha = i mod m, tr alpha = w};
-    m1[j]    = T[j - dlog(-1), j], counted over the (q - 1)^2 / m pairs of
-               those two classes, whose traces are rows of the dlog-ordered
-               grid[i, k] = tr(g^(i + m k));
+    m1[j]    = T[j - dlog(-1), j], one _class_pair_sums slab;
     m2[j]    = sum over i of T[i, j] = h * a[j], the cyclic convolution over
                traces with the trace histogram h of the nonzero elements.
 
     h takes at most two values on a field, but nothing here assumes it:
     m2 is c sum(a[j]) for the commonest value c of h, plus one roll of a
     for each trace where h differs from c.  Raises BoundExceeded where
-    _pair_tensor would, so both routes skip the same instances.
+    verify_jacobi_quotient does, so both skip the same instances.
     """
     p = field.p
     _require_tensor_budget(m, p)
     t = _tables(field)
     a = np.bincount(t.dlog % m * p + t.trace, minlength=m * p).reshape(m, p)
-    by_dlog = np.empty_like(t.trace)
-    by_dlog[t.dlog] = t.trace
-    grid = by_dlog.reshape(-1, m).T  # one row per class, in dlog order
-    # row r of the count pairs the r-th alpha of class j - dlog(-1) with
-    # every beta of class j = row_cls[r]
-    left = grid[(np.arange(m) - t.dlog_neg_one) % m].ravel()
-    row_cls = np.repeat(np.arange(m), grid.shape[1])
-    m1 = _pair_counts(len(left), grid.shape[1], m * p, lambda r: (
-        (left[r, None] + grid[row_cls[r]]) % p
-        + row_cls[r, None] * p)).reshape(m, p)
+    m1 = _class_pair_sums(_class_grid(field, m),
+                          (np.arange(m) - t.dlog_neg_one) % m, p)
     h = a.sum(axis=0)
     values, counts = np.unique(h, return_counts=True)
     c = int(values[np.argmax(counts)])
@@ -292,6 +288,28 @@ def _gauss_slices(field: FiniteField, m: int):
     for u in np.flatnonzero(h != c):
         m2 += (int(h[u]) - c) * np.roll(a, u, axis=1)
     return a, m1, m2
+
+
+def _quotient_slabs(field: FiniteField, m: int):
+    """(U[i], V[i]) for each class i, two (m, p) slabs of the quotient
+    identity's tensors.  U[i] = T[i] pairs alpha in class i with every
+    nonzero beta; V[i] pairs each a outside {0, 1} with the gamma in class
+    i - cls(a), keyed by cls((1 - a) gamma) and tr gamma, plus the f pairs
+    beta = -alpha at (i + dlog(-1), 0).  Raises BoundExceeded first."""
+    p = field.p
+    _require_tensor_budget(m, p)
+    t = _tables(field)
+    f = (field.q - 1) // m
+    grid = _class_grid(field, m)
+    a_cls, om_cls = _class_pairs(field, m)
+    shift = om_cls - a_cls  # cls((1 - a) gamma) - cls(a gamma)
+    for i in range(m):
+        u = _class_pair_sums(grid, np.full(m, i), p)
+        v = _pair_counts(len(a_cls), f, m * p, lambda r: (
+            (shift[r, None] + i) % m * p
+            + grid[(i - a_cls[r]) % m])).reshape(m, p)
+        v[(i + t.dlog_neg_one) % m, 0] += f
+        yield u, v
 
 
 # -- the sums themselves ---------------------------------------------------------
@@ -377,33 +395,23 @@ def verify_gauss_opposite_product(field: FiniteField, m: int) -> bool:
 def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
     """The Gauss-sum factorization of Jacobi sums, for every exponent pair.
 
-    Checked at the level of exponent counts: the pair tensor U of
-    _pair_tensor, the literal expansion of G(chi^s) G(chi^t), must equal
-    the tensor built from (a, gamma) with alpha = a gamma,
-    beta = (1-a) gamma, plus the beta = -alpha diagonal.  Equality of the
-    tensors implies G(chi^s)G(chi^t) = J(chi^s,chi^t) G(chi^(s+t)) for
-    every s, t with s, t, s+t all nontrivial, since each instance is a
-    fixed linear functional of the three tensors.  The complementary case
-    J(chi^s, chi^-s) = -chi^s(-1) is checked per exponent.
+    Checked at the level of exponent counts, one class slab at a time (see
+    _quotient_slabs): the pair tensor U, the literal expansion of
+    G(chi^s) G(chi^t), must equal the tensor V built from (a, gamma) with
+    alpha = a gamma, beta = (1-a) gamma, plus the beta = -alpha diagonal.
+    Equality of the tensors implies G(chi^s)G(chi^t) = J(chi^s,chi^t)
+    G(chi^(s+t)) for every s, t with s, t, s+t all nontrivial, since each
+    instance is a fixed linear functional of the three tensors.  The
+    complementary case J(chi^s, chi^-s) = -chi^s(-1) is checked per
+    exponent.  Raises BoundExceeded past the tensor budget.
     """
     _require_order(field, m)
-    p = field.p
-    t = _tables(field)
-    f = (field.q - 1) // m
-    cls = t.dlog % m
-    a_cls, om_cls = _class_pairs(field, m)
-    u = _pair_tensor(field, m)  # first: V has U's shape and budget
-    v = _pair_counts(len(a_cls), len(cls), m * m * p, lambda r: (
-        ((a_cls[r, None] + cls[None, :]) % m * m
-         + (om_cls[r, None] + cls[None, :]) % m) * p
-        + t.trace[None, :])).reshape(m, m, p)
-    j = np.arange(m)
-    v[j, (j + t.dlog_neg_one) % m, 0] += f  # the beta = -alpha pairs
-    if not np.array_equal(u, v):
+    if not all(np.array_equal(u, v) for u, v in _quotient_slabs(field, m)):
         return False
     # degenerate pairs: J(chi^s, chi^-s) = -chi^s(-1)
+    a_cls, om_cls = _class_pairs(field, m)
     base = np.bincount((a_cls - om_cls) % m, minlength=m)
-    base[t.dlog_neg_one % m] += 1
+    base[_tables(field).dlog_neg_one % m] += 1
     return _vanishes_at_powers(base, m)
 
 
@@ -434,14 +442,20 @@ def verify_row_sums(field: FiniteField, m: int) -> bool:
     return _vanishes_at_powers(base, m)
 
 
-def _twisted_class_sum_counts(s_mat: np.ndarray, c_gamma: int) -> np.ndarray:
-    """Exponent counts of the sum over s of zeta^(-s c_gamma) S_s, where
-    row s of s_mat holds the counts of S_s: out[j] is the sum over s of
-    s_mat[s, j + s c_gamma mod m], one (m, m) gather."""
-    m = len(s_mat)
-    rows = np.arange(m)[:, None]
-    cols = (np.arange(m)[None, :] + rows * c_gamma) % m
-    return s_mat[rows, cols].sum(axis=0)
+def _twisted_class_sums(a_cls: np.ndarray) -> np.ndarray:
+    """out[c, j]: exponent counts of the sum over s of zeta^(-s c) S_s, where
+    S_s has the counts _decimate(a_cls, s, m) plus 1 at exponent 0 when
+    s = 0 (its alpha = 1 term).  Decimating by s moves exponent d to s d,
+    so out[c] = a_cls[(d + c) mod m] @ hits with hits[d, j] =
+    #{s : s d = j mod m}, which is gcd(d, m) where that divides j and 0
+    elsewhere; entries stay below q m^2, exact in int64.
+    """
+    m = len(a_cls)
+    k = np.arange(m)
+    g = np.gcd(k, m)[:, None]
+    out = a_cls[(k[:, None] + k) % m] @ np.where(k % g == 0, g, 0)
+    out[:, 0] += 1
+    return out
 
 
 def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
@@ -471,10 +485,7 @@ def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     if not np.array_equal(c[1:], expected):
         return False
     # character-averaged recovery of the pair counts, one gamma class a row
-    s_mat = _decimate(a_cls, np.arange(m), m)
-    s_mat[0, 0] += 1  # alpha = 1 term of the trivial power
-    twisted = np.array([_twisted_class_sum_counts(s_mat, c_gamma)
-                        for c_gamma in range(m)])
+    twisted = _twisted_class_sums(a_cls)
     twisted[:, 0] -= m * a_cls + 1
     return _vanishes(twisted, m)
 

@@ -5,9 +5,9 @@ H with zero appended.  Four routes decide whether such a class is a
 difference set: literal difference counting, class sums, Jacobi row
 sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
 count from the same class pairs (charsums._class_pairs), and the Gauss
-route counts its own slices of the trace pair tensor from the dlog and
-trace tables (charsums._gauss_slices); all three test every power through
-one exact sweep, charsums._vanishes_at_powers.  The
+route counts one class slab of the trace pair tensor and two marginals
+from the dlog and trace tables (charsums._gauss_slices); all three test
+every power through one exact sweep, charsums._vanishes_at_powers.  The
 direct route counts differences literally and shares nothing with them:
 it reads only the class codes and field addition, and counts at one
 representative of each coset of H (_pairs_at), because the count is
@@ -109,7 +109,8 @@ class CyclotomicClass:
         return len(self.codes)
 
     def __contains__(self, x):
-        code = x.code if isinstance(x, FFElement) else int(x)
+        code = (self.field._check(x).code if isinstance(x, FFElement)
+                else int(x))
         i = np.searchsorted(self.codes, code)
         return i < len(self.codes) and self.codes[i] == code
 
@@ -131,6 +132,11 @@ def cyclotomic_class(field: FiniteField, m: int,
     return CyclotomicClass(field, m, modified, codes)
 
 
+def _require_class_of(field: FiniteField, cls: CyclotomicClass) -> None:
+    if cls.field != field:
+        raise ValueError(f"class of F_{cls.field.q} checked in F_{field.q}")
+
+
 def check_direct(field: FiniteField, cls: CyclotomicClass) -> DSReport:
     """Count differences literally; the oracle the other routes answer to.
 
@@ -140,6 +146,7 @@ def check_direct(field: FiniteField, cls: CyclotomicClass) -> DSReport:
     representatives g^0, ..., g^(m-1); the witness is the smallest code
     whose coset deviates.
     """
+    _require_class_of(field, cls)
     params = DSParams.from_instance(field.q, cls.m, cls.modified)
     if not params.feasible:
         return DSReport(params, VERDICT_INFEASIBLE, ("direct",))
@@ -188,14 +195,14 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
     times (1 - m) in the modified case, for every nontrivial s.
 
     Works on exponent counts, so nothing is ever rounded.  The pair
-    tensor T[i, j, w] of charsums._pair_tensor expands every G_s G_t, but
-    the relation reads only its slice T[j - dlog(-1), j] and its two
+    tensor T[i, j, w] of traces by class expands every G_s G_t, but the
+    relation reads only its slice T[j - dlog(-1), j] and its two
     marginals, which charsums._gauss_slices counts without building T:
-    the slice over (q - 1)^2 / m pairs, and the marginals as convolutions
-    of the per-class trace histogram.  Raises BoundExceeded past
-    gauss_check_m_max, the (q - 1)^2 pair budget or the m m p tensor
-    budget, the bounds of the full tensor, so the skipped instances do
-    not depend on how the slices are counted.
+    the slice as one class slab over (q - 1)^2 / m pairs, and the
+    marginals as convolutions of the per-class trace histogram.  Raises
+    BoundExceeded past gauss_check_m_max, the (q - 1)^2 pair budget or
+    the m m p slab budget that the Jacobi quotient identity also obeys,
+    so the skipped instances do not depend on how the slices are counted.
     """
     params = DSParams.from_instance(field.q, m, modified)
     if not params.feasible:
@@ -273,6 +280,7 @@ def known_family_match(q: int, m: int, modified: bool) -> Optional[str]:
 def multiplier_check(field: FiniteField, cls: CyclotomicClass, t: int) -> bool:
     """Whether multiplication by the field image of t maps the class to a
     translate of itself."""
+    _require_class_of(field, cls)
     p, q = field.p, field.q
     if t % p == 0:
         raise ZeroMultiplier(f"t={t} vanishes in characteristic {p}")
@@ -298,8 +306,9 @@ def run_routes(field: FiniteField, cls: CyclotomicClass, names) -> dict:
     """The verdict of each named route on one class, in the order named.
 
     A route reports "skipped" when the instance exceeds its configured
-    bound (the ring order, or the gauss count-tensor budget).
+    bound (the ring order, or the gauss route's pair and slab budgets).
     """
+    _require_class_of(field, cls)
     m, modified = cls.m, cls.modified
     checks = {"direct": lambda: check_direct(field, cls).verdict,
               "charsum": lambda: check_charsum(field, m, modified),

@@ -292,15 +292,18 @@ class FiniteField:
     # scalar arithmetic -----------------------------------------------------
 
     def add(self, a: FFElement, b: FFElement) -> FFElement:
-        return FFElement(self, int(self.codes_add(a.code, b.code)))
+        return FFElement(self, int(self.codes_add(self._check(a).code,
+                                                  self._check(b).code)))
 
     def sub(self, a: FFElement, b: FFElement) -> FFElement:
-        return FFElement(self, int(self.codes_sub(a.code, b.code)))
+        return FFElement(self, int(self.codes_sub(self._check(a).code,
+                                                  self._check(b).code)))
 
     def neg(self, a: FFElement) -> FFElement:
-        return FFElement(self, int(self.codes_sub(0, a.code)))
+        return FFElement(self, int(self.codes_sub(0, self._check(a).code)))
 
     def mul(self, a: FFElement, b: FFElement) -> FFElement:
+        a, b = self._check(a), self._check(b)
         if a.code == 0 or b.code == 0:
             return self.zero
         log = self.log_table
@@ -308,13 +311,13 @@ class FiniteField:
         return FFElement(self, int(self.exp_table[k]))
 
     def inv(self, a: FFElement) -> FFElement:
-        if a.code == 0:
+        if self._check(a).code == 0:
             raise DivisionByZero("inverse of zero")
         k = (-int(self.log_table[a.code])) % (self.q - 1)
         return FFElement(self, int(self.exp_table[k]))
 
     def pow(self, a: FFElement, k: int) -> FFElement:
-        if a.code == 0:
+        if self._check(a).code == 0:
             if k == 0:
                 return self.one
             if k < 0:
@@ -379,26 +382,20 @@ def arith(field: FiniteField, op: str, *args) -> FFElement:
     """Dispatcher for scalar field arithmetic.
 
     op is one of add, sub, mul, neg, inv, pow; pow takes (element, int).
+    Each operation refuses an element of another field.
     """
-    if op in ("add", "sub", "mul"):
-        a, b = args
-        return getattr(field, op)(field._check(a), field._check(b))
-    if op == "neg":
-        (a,) = args
-        return field.neg(field._check(a))
-    if op == "inv":
-        (a,) = args
-        return field.inv(field._check(a))
+    if op in ("add", "sub", "mul", "neg", "inv"):
+        return getattr(field, op)(*args)
     if op == "pow":
         a, k = args
-        return field.pow(field._check(a), int(k))
+        return field.pow(a, int(k))
     raise ValueError(f"unknown op {op!r}")
 
 
 def dlog(field: FiniteField, x: FFElement) -> int:
-    if x.code == 0:
+    if field._check(x).code == 0:
         raise ZeroArgument("discrete log of zero")
-    return int(field.log_table[field._check(x).code])
+    return int(field.log_table[x.code])
 
 
 def trace(field: FiniteField, x: FFElement) -> int:

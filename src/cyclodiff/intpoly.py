@@ -274,50 +274,28 @@ def prime_factors(n: int) -> list[int]:
 # -- exact real-root location (Sturm) ------------------------------------------
 
 
-def _frac_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b, both dense low-first Fraction lists, b != 0."""
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        f = r[-1] / b[-1]
-        shift = len(r) - 1 - db
-        for j, cb in enumerate(b):
-            r[shift + j] -= f * cb
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
+def _sturm_chain(f: IntPoly) -> list[IntPoly]:
+    """f, f' and the negated remainders, each a positive multiple of the
+    classical Sturm polynomial, so every sign is the classical one.
 
-
-def _sturm_chain(f: IntPoly) -> list[list[Fraction]]:
-    p0 = [Fraction(c) for c in f.coeffs]
-    p1 = [Fraction(c) for c in f.derivative().coeffs]
-    chain = [p0, p1]
-    while chain[-1] and len(chain[-1]) > 1:
-        r = [-c for c in _frac_rem(chain[-2], chain[-1])]
-        if not r:
+    pseudo_rem by a divisor with positive lead is a power of that lead
+    times the remainder, and the remainder by -b is the remainder by b;
+    dividing out the (positive) content scales by a positive number too.
+    """
+    chain = [f, f.derivative()]
+    while chain[-1].degree > 0:
+        b = chain[-1]
+        r = -chain[-2].pseudo_rem(b if b.lead > 0 else -b)
+        if r.is_zero():
             break
-        chain.append(r)
+        g = r.content()
+        chain.append(IntPoly(c // g for c in r.coeffs))
     return chain
 
 
-def _eval_frac(p: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _eval_frac(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_changes(chain: list[IntPoly], x: Fraction) -> int:
+    signs = [v > 0 for v in (poly(x) for poly in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_real_roots(f: IntPoly, lo: Fraction, hi: Fraction) -> int:

@@ -10,9 +10,9 @@ from sympy import mobius, totient
 
 from cyclodiff import charsums
 from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
-                                _gauss_slices, _pair_tensor, _tables,
-                                _twisted_class_sum_counts,
-                                _vanishes_at_powers, character, chi_eval,
+                                _gauss_slices, _quotient_slabs, _tables,
+                                _twisted_class_sums, _vanishes_at_powers,
+                                character, chi_eval,
                                 gauss_sum, h_class_sum, jacobi_row_sum,
                                 jacobi_sum, verify_class_difference_counts,
                                 verify_class_difference_sums,
@@ -30,6 +30,22 @@ from cyclodiff.ff import dlog, make_field
 
 # prime, extension and characteristic-2 fields for the differential tests
 SWEEP_FIELDS = [(13, 1), (3, 2), (2, 4), (31, 1), (13, 2)]
+
+
+def _orders(q, low=1):
+    return [d for d in range(low, q) if (q - 1) % d == 0]
+
+
+def _pair_tensor(field, m):
+    """T[i, j, w] = pairs of nonzero (alpha, beta) with dlogs i and j mod m
+    and tr(alpha) + tr(beta) = w mod p, counted whole: the oracle of the
+    class slabs.  Entry (i, j, w) counts zeta_m^(s i + t j) zeta_p^w in
+    G(chi^s) G(chi^t)."""
+    p, t = field.p, _tables(field)
+    cls = t.dlog % m
+    return charsums._pair_counts(len(cls), len(cls), m * m * p, lambda r: (
+        (t.trace[r, None] + t.trace[None, :]) % p
+        + (cls[r, None] * m + cls[None, :]) * p)).reshape(m, m, p)
 
 
 def test_character_requires_divisibility():
@@ -50,6 +66,15 @@ def test_chi_eval_tracks_discrete_log():
     # zero convention: 0 for a nontrivial power, 1 in the trivial sector
     assert chi_eval(chi, 1, field.zero).is_zero()
     assert chi_eval(chi, 5, field.zero).as_integer() == 1
+
+
+def test_chi_eval_refuses_another_fields_element():
+    # F_7's element 4 used to give -1 under the quartic character of F_5,
+    # and its element 6 an IndexError
+    chi, f7 = character(make_field(5), 4), make_field(7)
+    for code in (0, 4, 6):
+        with pytest.raises(ValueError):
+            chi_eval(chi, 1, f7.element(code))
 
 
 def test_quadratic_gauss_sum_squares():
@@ -199,12 +224,12 @@ def test_twisted_class_sums_match_the_loop():
             a_cls = _class_sum_counts(field, m)
             s_mat = np.array([_decimate(a_cls, s, m) for s in range(m)])
             s_mat[0, 0] += 1
+            got = _twisted_class_sums(a_cls)
             for c in range(m):
                 want = np.zeros(m, dtype=np.int64)
                 for s in range(m):
                     np.add.at(want, (np.arange(m) - s * c) % m, s_mat[s])
-                got = _twisted_class_sum_counts(s_mat, c)
-                assert np.array_equal(got, want), (p, e, m, c)
+                assert np.array_equal(got[c], want), (p, e, m, c)
 
 
 def _loop_reference(base, m, powers, p=0):
@@ -325,6 +350,7 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch):
     # the slices the gauss route reads, against the full tensor: the
     # diagonal T[j - dlog(-1), j] and both marginals (T is symmetric);
     # a, the per-class trace histogram, against a literal count
+    blocks = (charsums._PAIR_BLOCK, 1)
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
         q, t = field.q, _tables(field)
@@ -332,7 +358,7 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch):
             j = np.arange(m)
             want_a = np.zeros((m, p), dtype=np.int64)
             np.add.at(want_a, (t.dlog % m, t.trace), 1)
-            for block in (charsums._PAIR_BLOCK, 1):
+            for block in blocks:
                 monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
                 tensor = _pair_tensor(field, m)
                 a, m1, m2 = _gauss_slices(field, m)
@@ -343,21 +369,65 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch):
                 assert np.array_equal(m2, tensor.sum(axis=1)), (q, m, block)
 
 
-def test_gauss_route_never_builds_the_pair_tensor(monkeypatch):
-    def refuse(field, m):
-        raise AssertionError("check_gauss built the pair tensor")
+def test_no_pair_count_is_larger_than_one_class_slab(monkeypatch):
+    # no (m, m, p) tensor is counted in the package: every _pair_counts
+    # histogram of the identity suite and the gauss route has at most m p
+    # bins, and the gauss verdicts still match the literal count
+    sizes = []
+    counted = charsums._pair_counts
 
-    monkeypatch.setattr(charsums, "_pair_tensor", refuse)
+    def recording(rows, cols, size, keys):
+        sizes.append(size)
+        return counted(rows, cols, size, keys)
+
+    monkeypatch.setattr(charsums, "_pair_counts", recording)
     m_max = current_limits().gauss_check_m_max
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
-        for m in [d for d in range(2, min(field.q, m_max + 1))
-                  if (field.q - 1) % d == 0]:
-            for modified in (False, True):
+        for m in _orders(field.q, 2):
+            sizes.clear()
+            assert all(verify_identity_suite(field, m).values()), (field.q, m)
+            for modified in (False, True) if m <= m_max else ():
                 direct = check_direct(field,
                                       cyclotomic_class(field, m, modified))
                 assert check_gauss(field, m, modified) == direct.verdict, \
                     (field.q, m, modified)
+            assert max(sizes) <= m * p, (field.q, m, max(sizes))
+
+
+def _literal_v(field, m):
+    """V[i, j, w] in one piece: every (a, gamma) with a outside {0, 1} and
+    gamma != 0, multiplied out to alpha = a gamma and beta = (1 - a) gamma,
+    keyed by their classes and tr(alpha + beta); plus the pairs
+    beta = -alpha, f in each class of alpha."""
+    q, p, t = field.q, field.p, _tables(field)
+    exp, log = field.exp_table, field.log_table
+    a = np.arange(2, q)
+    gamma = t.codes
+    alpha = exp[(log[a][:, None] + log[gamma]) % (q - 1)]
+    one_minus = field.codes_sub(np.ones_like(a), a)
+    beta = exp[(log[one_minus][:, None] + log[gamma]) % (q - 1)]
+    w = t.trace_all[field.codes_add(alpha, beta)]
+    key = (log[alpha] % m * m + log[beta] % m) * p + w
+    want = np.bincount(key.ravel(), minlength=m * m * p).reshape(m, m, p)
+    neg = field.codes_sub(np.zeros_like(gamma), gamma)
+    np.add.at(want, (log[gamma] % m, log[neg] % m, 0), 1)
+    return want
+
+
+def test_quotient_slabs_match_the_tensor_oracles(monkeypatch):
+    # stacked over the classes, the U slabs are the pair tensor and the V
+    # slabs the literal Jacobi expansion, in one block or one row a block
+    blocks = (charsums._PAIR_BLOCK, 1)
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        for m in _orders(field.q):
+            want_u, want_v = _pair_tensor(field, m), _literal_v(field, m)
+            for block in blocks:
+                monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
+                u, v = (np.stack(x) for x in zip(*_quotient_slabs(field, m)))
+                assert np.array_equal(u, want_u), (field.q, m, block)
+                assert np.array_equal(v, want_v), (field.q, m, block)
 
 
 def _gauss_product_references(field, m):
@@ -399,21 +469,29 @@ def test_gauss_product_histograms_count_in_blocks(monkeypatch):
                                 ("quotient", verify_jacobi_quotient)):
                 counted.clear()
                 assert check(field, m), (field.q, m, name)
-                # the quotient check counts U (_pair_tensor) before V
-                assert np.array_equal(counted[-1], want[name]), \
-                    (field.q, m, name)
+                # the quotient check counts the slabs U[i], then V[i], for
+                # each class i; V's f diagonal is added after the count
+                got = (np.stack(counted[1::2]).ravel() if name == "quotient"
+                       else counted[-1])
+                assert np.array_equal(got, want[name]), (field.q, m, name)
 
 
 def test_tensor_budget_raises_before_counting(monkeypatch):
-    # the budget is patched low, so no test ever asks for a huge tensor
+    # both Gauss-product paths bound the m slabs of m p bins; the default
+    # budget skips m = 2052 on F_2053, as the whole tensor's did
+    with monkeypatch.context() as mp:
+        mp.setattr(charsums, "_pair_counts", None)   # never reached
+        with pytest.raises(BoundExceeded):
+            verify_jacobi_quotient(make_field(2053), 2052)
+    # below, the budget is patched low, so no test asks for a huge count
     field, m = make_field(37), 4
     size = m * m * 37
     monkeypatch.setattr(charsums, "_TENSOR_MAX", size)
-    assert _pair_tensor(field, m).shape == (m, m, 37)     # at the budget
+    assert verify_jacobi_quotient(field, m)              # at the budget
     assert check_gauss(field, m, False) == VERDICT_DS
     monkeypatch.setattr(charsums, "_TENSOR_MAX", size - 1)
     monkeypatch.setattr(charsums, "_pair_counts", None)   # never reached
-    for call in (lambda: _pair_tensor(field, m),
+    for call in (lambda: _gauss_slices(field, m),
                  lambda: verify_jacobi_quotient(field, m),
                  lambda: check_gauss(field, m, False)):
         with pytest.raises(BoundExceeded):

@@ -256,6 +256,17 @@ def test_decimation_by_a_unit_is_the_galois_action(data):
 
 
 @PROPERTIES
+@given(_orders_and_triples(), st.data())
+def test_galois_is_a_ring_homomorphism(case, data):
+    n, x, y, _ = case
+    units = st.integers(-2 * n, 2 * n).filter(lambda k: gcd(k, n) == 1)
+    k, k2 = data.draw(units, label="k"), data.draw(units, label="k2")
+    assert galois(x + y, k) == galois(x, k) + galois(y, k)
+    assert galois(x * y, k) == galois(x, k) * galois(y, k)
+    assert galois(galois(x, k), k2) == galois(x, k * k2)
+
+
+@PROPERTIES
 @given(_orders_and_triples())
 def test_cycint_ring_laws(case):
     n, x, y, z = case

@@ -5,12 +5,13 @@ import pytest
 
 from cyclodiff import diffsets
 from cyclodiff.cli import run as cli_run
-from cyclodiff.diffsets import (ClassificationTable, DSParams, VERDICT_DS,
-                                VERDICT_INFEASIBLE, VERDICT_NOT, check_charsum,
-                                check_direct, check_gauss, check_jacobi,
-                                cyclotomic_class, difference_counts,
-                                known_family_match, multiplier_check,
-                                prime_powers, run_all_checkers, scan)
+from cyclodiff.diffsets import (ROUTES, ClassificationTable, DSParams,
+                                VERDICT_DS, VERDICT_INFEASIBLE, VERDICT_NOT,
+                                check_charsum, check_direct, check_gauss,
+                                check_jacobi, cyclotomic_class,
+                                difference_counts, known_family_match,
+                                multiplier_check, prime_powers,
+                                run_all_checkers, run_routes, scan)
 from cyclodiff.errors import (BoundExceeded, OrderDoesNotDivide, ZeroGamma,
                               ZeroMultiplier)
 from cyclodiff.ff import make_field
@@ -59,6 +60,23 @@ KNOWN_POSITIVES = [(7, 2, False), (11, 2, False), (37, 4, False),
 def _field_of(q):
     p, e = {16: (2, 4), 9: (3, 2), 27: (3, 3), 25: (5, 2)}.get(q, (q, 1))
     return make_field(p, e)
+
+
+def test_classes_refuse_another_fields_elements():
+    # the class of F_7 used to contain F_5's element 4, and H(11, 2), a
+    # Paley set, was judged not to be one through the class of F_7
+    f7, f11 = make_field(7), make_field(11)
+    h7 = cyclotomic_class(f7, 2)
+    assert f7.element(4) in h7 and 4 in h7
+    with pytest.raises(ValueError):
+        make_field(5).element(4) in h7
+    for call in (lambda: check_direct(f11, h7),
+                 lambda: run_routes(f11, h7, ROUTES),
+                 lambda: run_routes(f11, h7, ("charsum",)),
+                 lambda: multiplier_check(f11, h7, 3)):
+        with pytest.raises(ValueError):
+            call()
+    assert check_direct(f11, cyclotomic_class(f11, 2)).verdict == VERDICT_DS
 
 
 def test_direct_on_known_positives():

@@ -118,6 +118,20 @@ def test_element_plumbing():
         arith(field, "frobnicate", field.one)
 
 
+def test_scalar_arithmetic_refuses_another_fields_elements():
+    # an F_7 element used to be read as an F_5 code: 3 + 4 gave code 2
+    f5, f7 = make_field(5), make_field(7)
+    x, y = f5.element(3), f7.element(4)
+    for call in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: y * x,
+                 lambda: f5.mul(f5.zero, y), lambda: f5.neg(y),
+                 lambda: f5.inv(y), lambda: f5.pow(y, 2),
+                 lambda: dlog(f5, f7.zero), lambda: trace(f5, y),
+                 lambda: arith(f5, "mul", x, y), lambda: arith(f5, "inv", y)):
+        with pytest.raises(ValueError):
+            call()
+    assert (x + f5.element(4)).code == 2 and arith(f5, "neg", x).code == 2
+
+
 def test_difference_counts_match_literal_pairs(monkeypatch):
     # reference: subtract every ordered pair of elements one at a time
     rng = random.Random(11)

@@ -1,5 +1,6 @@
 """Integer polynomial layer: arithmetic, gcd, Sturm, cyclotomics."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,38 @@ def test_sturm_root_counts():
                             Fraction(-100), Fraction(100)) == 0
     b = real_root_bound(f)
     assert count_real_roots(f, -b, b) == 4
+
+
+def _random_products(rng, count):
+    """Nonconstant products of up to three small integer factors, each to a
+    power of 1 to 3, so that repeated and rational roots occur."""
+    while count:
+        f = IntPoly([rng.choice((-3, -2, -1, 1, 2, 3))])
+        for _ in range(rng.randint(1, 3)):
+            factor = IntPoly([rng.randint(-4, 4)
+                              for _ in range(rng.randint(2, 4))])
+            for _ in range(rng.randint(1, 3) if factor.degree > 0 else 0):
+                f = f * factor
+        if f.degree > 0:
+            count -= 1
+            yield f
+
+
+def test_squarefree_part_and_root_counts_match_sympy():
+    # sympy counts on the closed [lo, hi], count_real_roots on (lo, hi]
+    x = sympy.symbols("x")
+    rng = random.Random(20261018)
+    for f in _random_products(rng, 400):
+        g = sympy.Poly(list(reversed(f.coeffs)), x)
+        want = sympy.Poly(sympy.sqf_part(g), x).all_coeffs()
+        assert squarefree_part(f) == \
+            IntPoly(int(c) for c in reversed(want)).primitive(), f
+        for _ in range(6):
+            lo, hi = sorted(Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                            for _ in range(2))
+            closed = g.count_roots(lo, hi)
+            assert count_real_roots(f, lo, hi) == closed - (g.eval(lo) == 0), \
+                (f, lo, hi)
 
 
 def test_rational_roots():
