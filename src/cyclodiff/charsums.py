@@ -4,15 +4,17 @@ The public sums (Gauss, Jacobi, power-class sums and Jacobi row sums)
 return cyclotomic integers.  The verify_* family at the bottom re-proves
 the classical product and row-sum identities on a concrete field by
 integer counting: both sides of an identity are expanded into vectors of
-root-of-unity exponent counts, and the difference is reduced modulo the
-relevant cyclotomic polynomial by cyclotomic.reduce_counts.  A passing
-verdict is therefore a statement about integers, not floats.
+root-of-unity exponent counts, and the difference is tested for zero
+exactly.  A passing verdict is therefore a statement about integers, not
+floats.
 
 Every class-sum and Jacobi-row count is a slice of the cyclotomic numbers
 (i, j)_m, counted in one place, _class_pairs.  Every condition on all
-nontrivial powers chi^s is one base count vector and one exact sweep,
-_vanishes_at_powers, which alone picks the powers (one per Galois orbit);
-the routes of diffsets and the identity suite all test through it.  Every
+nontrivial powers chi^s is one base count vector and one exact
+comparison, _vanishes_at_powers: by Fourier inversion over Z/m the sum
+vanishes at every nontrivial power exactly when the counts are constant,
+so no power is decimated and nothing is reduced in Z[zeta_m].  The routes
+of diffsets and the identity suite all test through it.  Every
 histogram over pairs of field elements is counted by _pair_counts, a block
 of rows at a time, each caller with its own literal key.  The products
 G(chi^s) G(chi^t) expand into the (m, m, p) pair tensor of traces by
@@ -33,9 +35,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .config import current_limits
+from .cyclotomic import CycInt, check_count_order, reduce_counts
 # reduction_rows is unused here but stays importable from this module:
 # bench/test_bench.py checks that the traced run restores it on charsums.
-from .cyclotomic import CycInt, reduce_counts, reduction_rows  # noqa: F401
+from .cyclotomic import reduction_rows  # noqa: F401
 from .errors import BoundExceeded, OddOrder, OrderDoesNotDivide, TrivialPower
 from .ff import FFElement, FiniteField
 
@@ -109,11 +112,7 @@ def chi_eval(chi: Character, s: int, alpha: FFElement) -> CycInt:
 #
 # A sum of m-th roots of unity is held as a length-m integer vector of
 # exponent counts.  Mixed Gauss-type sums use an (m, p) matrix of counts
-# for zeta_m^j zeta_p^w, reduced in zeta_p and then in zeta_m.
-
-# Counts per decimated block in _vanishes_at_powers, so a sweep over many
-# powers never holds the whole (powers, m, p) stack.
-_SWEEP_BLOCK = 1 << 20
+# for zeta_m^j zeta_p^w.
 
 # Pairs per block of rows in _pair_counts.
 _PAIR_BLOCK = 1 << 18
@@ -125,48 +124,42 @@ _TENSOR_MAX = 3 * 10 ** 7
 _PAIRS_MAX = 3 * 10 ** 7
 
 
-def _decimate(vec: np.ndarray, s, m: int) -> np.ndarray:
-    """out[i] = sum of vec[j] over j with s*j = i mod m (also for matrices).
-
-    s may be a 1-D array of powers; out then stacks one decimation per
-    power along a new leading axis.  The sums run over Python ints when
-    int64 could overflow, so every entry is exact.
-    """
-    powers = np.atleast_1d(np.asarray(s, dtype=np.int64)) % m
+def _decimate(vec: np.ndarray, s: int, m: int) -> np.ndarray:
+    """out[i] = sum of vec[j] over j with s*j = i mod m: the counts of the
+    power chi^s.  The sums run over Python ints when int64 could overflow,
+    so every entry is exact."""
     top = max(int(vec.max(initial=0)), -int(vec.min(initial=0)))
     exact = vec.dtype != object and top * m < 2 ** 63
-    out = np.zeros((len(powers),) + vec.shape,
-                   dtype=np.int64 if exact else object)
-    np.add.at(out, (np.arange(len(powers))[:, None],
-                    powers[:, None] * np.arange(m) % m), vec)
-    return out if np.ndim(s) else out[0]
+    out = np.zeros(vec.shape, dtype=np.int64 if exact else object)
+    np.add.at(out, (s % m) * np.arange(m) % m, vec)
+    return out
 
 
-def _vanishes(counts: np.ndarray, m: int, p: int = 0) -> bool:
-    """Whether each length-m count vector along the last axis is zero in
-    Z[zeta_m]; with p > 0, whether each (m, p) count matrix in the last two
-    axes is zero in Z[zeta_m, zeta_p], reduced in zeta_p and then in zeta_m."""
-    if p:
-        counts = reduce_counts(counts, p).swapaxes(-1, -2)
-    return not np.any(reduce_counts(counts, m))
+def _vanishes(counts: np.ndarray, n: int) -> bool:
+    """Whether each length-n count vector along the last axis is zero in
+    Z[zeta_n], by reduction modulo Phi_n."""
+    return not np.any(reduce_counts(counts, n))
 
 
 def _vanishes_at_powers(base: np.ndarray, m: int, p: int = 0) -> bool:
     """Whether _decimate(base, s, m) is zero for every nontrivial power s.
 
-    base is a count vector, or an (m, p) count matrix when p > 0 (see
-    _vanishes); decimation is linear, so callers fold their targets in.
-    Only the powers d | m, d < m are tested, one per Galois orbit.  For an
-    integer base, decimating by k s is decimating by s and then applying
-    sigma_k: zeta_m -> zeta_m^k, which for a unit k mod m is an automorphism
-    fixing zeta_p, as gcd(m, p) = 1 whenever m | q - 1.  Every nontrivial s
-    is such a k times d = gcd(s, m), so d decides its whole orbit.  The
-    powers are decimated _SWEEP_BLOCK counts at a time, one reduction each.
+    base is a count vector, or an (m, p) count matrix of zeta_m^j zeta_p^w
+    when p > 0; decimation is linear, so callers fold their targets in.
+    The value at s is sum_j base[j] zeta_m^(s j), the discrete Fourier
+    transform of base over Z/m at frequency s.  By Fourier inversion it
+    vanishes at every s != 0 exactly when base is constant, so the test is
+    one exact comparison, for int64 and Python-int entries alike.  A matrix
+    is first folded in zeta_p by reduce_counts.  As gcd(m, p) = 1 whenever
+    m | q - 1, the powers 1, zeta_p, ..., zeta_p^(p-2) are linearly
+    independent over Q(zeta_m), so each folded column must be constant on
+    its own.  Composite m past cyclotomic_n_max raises BoundExceeded
+    (check_count_order), which is what the routes report as skipped.
     """
-    powers = np.array([d for d in range(1, m) if m % d == 0], dtype=np.int64)
-    step = max(1, _SWEEP_BLOCK // base.size)
-    return all(_vanishes(_decimate(base, powers[lo:lo + step], m), m, p)
-               for lo in range(0, len(powers), step))
+    check_count_order(m)
+    if p:
+        base = reduce_counts(base, p)
+    return bool(np.all(base == base[0]))
 
 
 @functools.lru_cache(maxsize=8)

@@ -203,13 +203,14 @@ def _cmd_ds_scan(args) -> int:
     table = scan(m_range, args.q_max, modified_mode=args.modified_mode,
                  full_methods=args.full_methods, workers=args.workers)
     unexplained = table.unexplained()
+    disagreements = [r for r in table.rows if "disagree" in r]
     payload = {"instances": len(table), "hits": len(table.hits()),
                "nontrivial_hits": table.nontrivial_hits(),
-               "unexplained": unexplained}
+               "unexplained": unexplained, "disagreements": disagreements}
     if args.all_rows:
         payload["rows"] = table.rows
     _emit(args, payload)
-    return EXIT_DISCREPANCY if unexplained else EXIT_OK
+    return EXIT_DISCREPANCY if unexplained or disagreements else EXIT_OK
 
 
 # -- sys -------------------------------------------------------------------------

@@ -36,17 +36,26 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
 _ROW_MAX = 2 ** 20
 
 
+def check_count_order(n: int) -> None:
+    """Hold a count-vector order n to cyclotomic_n_max, unless n is prime.
+
+    A prime n reduces by one row, no larger than the vectors it reduces,
+    so only composite orders are held to the bound.  reduction_rows and
+    the all-powers test of charsums (_vanishes_at_powers) both apply it.
+    """
+    if euler_phi(n) != n - 1:
+        _check_order(n)
+
+
 def reduction_rows(n: int) -> np.ndarray:
     """(n - phi(n), phi(n)) int64 matrix whose row k is x^(phi(n)+k) mod Phi_n.
 
     The powers below phi(n) are basis elements already, and x^n = 1 mod
     Phi_n, so these rows reduce any exponent.  Read-only and cached for
     the last few orders only, so a scan cannot pin one table per order.
-    A prime n needs one row, no larger than the vectors it reduces, so
-    only composite orders are held to cyclotomic_n_max.
+    The order is bound-checked by check_count_order.
     """
-    if euler_phi(n) != n - 1:
-        _check_order(n)
+    check_count_order(n)
     return _build_rows(n)
 
 
@@ -93,7 +102,11 @@ class CycInt:
 
     def __init__(self, n: int, coeffs):
         _check_order(n)
-        cs = tuple(int(c) for c in coeffs)
+        raw = tuple(coeffs)
+        cs = tuple(map(int, raw))
+        # int() truncates 1.5 and parses "2"; refuse both, as MPoly does
+        if cs != raw:
+            raise ValueError(f"non-integral coefficients {list(raw)!r}")
         if len(cs) != euler_phi(n):
             raise ValueError(f"need {euler_phi(n)} coefficients for order {n}")
         self.n = n

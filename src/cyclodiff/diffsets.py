@@ -6,13 +6,16 @@ difference set: literal difference counting, class sums, Jacobi row
 sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
 count from the same class pairs (charsums._class_pairs), and the Gauss
 route counts one class slab of the trace pair tensor and two marginals
-from the dlog and trace tables (charsums._gauss_slices); all three test
-every power through one exact sweep, charsums._vanishes_at_powers.  The
-direct route counts differences literally and shares nothing with them:
-it reads only the class codes and field addition, and counts at one
-representative of each coset of H (_pairs_at), because the count is
-constant on cosets.  The full histogram, FiniteField.codes_difference_counts,
-is the slow oracle it is tested against.  All four work in exact integer
+from the dlog and trace tables (charsums._gauss_slices).  All three test
+every nontrivial power at once with charsums._vanishes_at_powers: by
+Fourier inversion over Z/m their counts vanish at every such power
+exactly when they are constant (after a fold in zeta_p for gauss, sound
+as gcd(m, p) = 1), so no route reduces in Z[zeta_m].  The direct route
+counts differences literally and shares nothing with them: it reads only
+the class codes and field addition, and counts at one representative of
+each coset of H (_pairs_at), because the count is constant on cosets.
+The full histogram, FiniteField.codes_difference_counts, is the slow
+oracle it is tested against.  All four work in exact integer
 arithmetic.  The scanner sweeps prime powers, builds a field only for a q
 with a feasible instance, and flags any nontrivial hit that no known
 family explains.
@@ -408,6 +411,8 @@ def _scan_rows_for_q(p: int, e: int, q: int, instances,
         verdict = verdicts["direct"]
         methods = [n for n, v in verdicts.items() if v == verdict]
         skipped = [n for n, v in verdicts.items() if v == "skipped"]
+        disagree = [n for n, v in verdicts.items()
+                    if v not in (verdict, "skipped")]
         family = None
         if verdict == VERDICT_DS:
             family = known_family_match(q, m, modified)
@@ -421,6 +426,8 @@ def _scan_rows_for_q(p: int, e: int, q: int, instances,
         }
         if skipped:
             row["skipped"] = skipped
+        if disagree:
+            row["disagree"] = disagree
         rows.append(row)
     return rows
 

@@ -305,7 +305,7 @@ class SolutionVector:
                        data["provenance"])
         except KeyError as exc:
             raise ParseError(f"solution JSON lacks the key {exc}") from exc
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ParseError(f"malformed solution JSON: {exc}") from exc
 
 

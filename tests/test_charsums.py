@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from sympy import mobius, totient
 
-from cyclodiff import charsums
+from cyclodiff import charsums, cyclotomic
 from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
                                 _gauss_slices, _quotient_slabs, _tables,
                                 _twisted_class_sums, _vanishes_at_powers,
@@ -23,10 +23,11 @@ from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
                                 verify_jacobi_quotient, verify_row_sums)
 from cyclodiff.config import current_limits
 from cyclodiff.cyclotomic import CycInt, cyc_lift, embed, reduce_counts
-from cyclodiff.diffsets import (VERDICT_DS, check_direct, check_gauss,
-                               cyclotomic_class, run_all_checkers)
+from cyclodiff.diffsets import (VERDICT_DS, check_charsum, check_direct,
+                               check_gauss, check_jacobi, cyclotomic_class,
+                               run_all_checkers)
 from cyclodiff.errors import BoundExceeded, OddOrder, OrderDoesNotDivide
-from cyclodiff.ff import dlog, make_field
+from cyclodiff.ff import dlog, is_prime, make_field
 
 # prime, extension and characteristic-2 fields for the differential tests
 SWEEP_FIELDS = [(13, 1), (3, 2), (2, 4), (31, 1), (13, 2)]
@@ -300,11 +301,16 @@ def _sweep_cases(m, p, rng):
             mat[:, 1] = base
             mat += np.array([rng.randint(-4, 4) for _ in range(m)])[:, None]
             yield mat, powers, p, want
+        # r[j] + c[w] vanishes at every nontrivial power, though it is
+        # constant along the m axis only after the fold in zeta_p
+        r = np.array([rng.randint(-4, 4) for _ in range(m)])
+        c = np.array([rng.randint(-4, 4) for _ in range(p)])
+        yield r[:, None] + c, powers, p, None if 0 in powers else True
 
 
-def test_sweep_matches_the_per_power_loop(monkeypatch):
-    # the sweep tests one power per Galois orbit; the oracle loops over
-    # every nontrivial power
+def test_sweep_matches_the_per_power_loop():
+    # the sweep compares the counts for constancy; the oracle decimates
+    # and reduces at every nontrivial power
     rng = random.Random(20261018)
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
@@ -316,13 +322,25 @@ def test_sweep_matches_the_per_power_loop(monkeypatch):
                         (q, m, list(powers), pp)
                 ref = _loop_reference(base, m, range(1, m), pp)
                 assert _vanishes_at_powers(base, m, pp) == ref, (q, m, pp)
-                with monkeypatch.context() as mp:
-                    mp.setattr(charsums, "_SWEEP_BLOCK", 1)  # one power a block
-                    assert _vanishes_at_powers(base, m, pp) == ref
-            # a block of powers stacks the one-power decimations
-            base = np.array([rng.randint(-9, 9) for _ in range(m)])
-            stacked = np.array([_decimate(base, s, m) for s in range(m)])
-            assert np.array_equal(_decimate(base, np.arange(m), m), stacked)
+
+
+def test_routes_build_no_composite_reduction_table(monkeypatch):
+    # the routes test every power by constancy, so the only reduction left
+    # is the gauss route's fold in zeta_p, at a prime order
+    orders = []
+    rows = cyclotomic.reduction_rows
+    monkeypatch.setattr(cyclotomic, "reduction_rows",
+                        lambda n: orders.append(n) or rows(n))
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        for m in _orders(field.q):
+            for check in (check_charsum, check_jacobi, check_gauss):
+                for modified in (False, True):
+                    try:
+                        check(field, m, modified)
+                    except BoundExceeded:
+                        pass  # the gauss route past gauss_check_m_max
+    assert orders and all(is_prime(n) for n in orders), sorted(set(orders))
 
 
 def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch):

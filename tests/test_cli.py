@@ -272,6 +272,9 @@ def test_sys_verify_rejects_malformed_solution_json(tmp_path, capsys):
     zero_den["values"][2]["den"] = 0
     bad_level = json.loads(sol.read_text())
     bad_level["level"] = "foo"
+    frac = json.loads(sol.read_text())
+    c = frac["values"][2]["coeffs"][0]
+    frac["values"][2]["coeffs"][0] = c + (0.25 if c >= 0 else -0.25)
     for data, message in (({}, "lacks the key 'values'"),
                           (no_coeffs, "lacks the key 'coeffs'"),
                           (zero_den, "has a zero denominator"),
@@ -282,6 +285,14 @@ def test_sys_verify_rejects_malformed_solution_json(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"cyclodiff: solution JSON {message}\n"
+    # truncated toward zero, this coefficient used to verify as the point
+    sol.write_text(json.dumps(frac))
+    assert run(["sys", "verify", "--system", str(system),
+                "--solution", str(sol)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("cyclodiff: malformed solution JSON: "
+                              "non-integral coefficients")
 
 
 def test_sys_bridge_rejects_a_solution_of_the_wrong_length(tmp_path, capsys):

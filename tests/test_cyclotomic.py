@@ -88,6 +88,14 @@ def test_prime_orders_reduce_past_the_ring_bound():
         reduce_counts(np.zeros(bound + 2, dtype=np.int64), bound + 2)
 
 
+def test_cycint_refuses_non_integral_coefficients():
+    # int() used to truncate 1.5 to 1 and parse "2" as 2
+    for coeffs in ([1.5, 0], ["2", 0], [0, -0.25]):
+        with pytest.raises(ValueError, match="non-integral"):
+            CycInt(4, coeffs)
+    assert CycInt(4, [2.0, np.int64(-3)]).coeffs == (2, -3)
+
+
 def test_huge_coefficients_stay_exact():
     n = 15
     a = CycInt(n, [2 ** 61 * (k + 1) for k in range(8)])
@@ -245,7 +253,8 @@ def _orders_and_triples(draw):
 @PROPERTIES
 @given(st.data())
 def test_decimation_by_a_unit_is_the_galois_action(data):
-    # the fact the orbit representatives of the checkers rely on
+    # h_class_sum and jacobi_row_sum decimate by s; at a unit s that is
+    # the Galois action
     n = data.draw(st.integers(1, 300), label="n")
     k = data.draw(st.integers(-2 * n, 2 * n).filter(lambda k: gcd(k, n) == 1),
                   label="k")

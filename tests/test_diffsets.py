@@ -1,5 +1,7 @@
 """Difference-set checkers, parameter logic, families, multipliers, scans."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,34 @@ def test_routes_past_the_ring_bound_are_skipped():
     assert table.rows[0]["skipped"] == ["charsum", "jacobi", "gauss"]
     assert cli_run(["ds", "scan", "--m", "2052", "--q-max", "2053",
                     "--full-methods"]) == 0
+
+
+def test_full_methods_scan_exits_2_when_a_route_disagrees(monkeypatch,
+                                                          capsys):
+    # a route that decides against direct is a discrepancy, as in ds check:
+    # it is dropped from methods, named under disagree, and fails the scan
+    flip = {VERDICT_DS: VERDICT_NOT, VERDICT_NOT: VERDICT_DS}
+    check = diffsets.check_charsum
+
+    def flipped(field, m, modified):
+        verdict = check(field, m, modified)
+        return flip[verdict] if field.q == 7 else verdict
+
+    argv = ["ds", "scan", "--m", "2", "--q-max", "12", "--full-methods",
+            "--all-rows"]
+    assert cli_run(argv) == 0
+    honest = json.loads(capsys.readouterr().out)
+    assert honest["disagreements"] == []
+    monkeypatch.setattr(diffsets, "check_charsum", flipped)
+    assert cli_run(argv) == 2
+    payload = json.loads(capsys.readouterr().out)
+    bad = [r for r in honest["rows"] if r["q"] == 7]
+    for r in bad:
+        r["methods"].remove("charsum")
+        r["disagree"] = ["charsum"]
+    assert len(bad) == 2 and payload["disagreements"] == bad
+    # rows without a disagreement are unchanged, with no disagree key
+    assert payload["rows"] == honest["rows"]
 
 
 def test_difference_counts_brute_force():

@@ -333,8 +333,10 @@ def test_solution_json_errors():
     del good["values"][1]["coeffs"]
     zero_den = json.loads(explicit_solution(6).to_json())
     zero_den["values"][1]["den"] = 0
+    half = json.loads(explicit_solution(6).to_json())
+    half["values"][1]["coeffs"][0] += 0.5   # used to be truncated
     for text in ("{}", json.dumps(good), "[]", '{"values": 5}',
-                 json.dumps(zero_den)):
+                 json.dumps(zero_den), json.dumps(half)):
         with pytest.raises(ParseError):
             SolutionVector.from_json(text)
     for level in ("foo", "G", None, 1):
