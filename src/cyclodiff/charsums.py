@@ -14,16 +14,19 @@ nontrivial powers chi^s is one base count vector and one exact
 comparison, _vanishes_at_powers: by Fourier inversion over Z/m the sum
 vanishes at every nontrivial power exactly when the counts are constant,
 so no power is decimated and nothing is reduced in Z[zeta_m].  The routes
-of diffsets and the identity suite all test through it.  Every
-histogram over pairs of field elements is counted by _pair_counts, a block
-of rows at a time, each caller with its own literal key.  The products
+of diffsets and the identity suite all test through it; the only
+reduction left here is the fold in zeta_p at the prime p, and only CycInt
+values reduce modulo a composite Phi_n.  Every histogram over pairs of
+field elements is counted by _pair_counts, a block of rows at a time,
+each caller with its own literal key.  The products
 G(chi^s) G(chi^t) expand into the (m, m, p) pair tensor of traces by
 class, which is never built: _class_pair_sums counts one (m, p) slab of it
 from the dlog-ordered trace grid, _class_grid.  The gauss route of
-diffsets reads one such slab (through _gauss_slices), and the quotient
-identity compares the tensor with its Jacobi expansion one class slab at a
-time.  The direct route of diffsets counts differences with its own
-counter and shares nothing.
+diffsets reads one such slab and the per-class trace histogram (through
+_gauss_slices); the tensor's marginals follow from the histogram.  The
+quotient identity compares the tensor with its Jacobi expansion one class
+slab at a time.  The direct route of diffsets counts differences with its
+own counter and shares nothing.
 """
 
 from __future__ import annotations
@@ -133,12 +136,6 @@ def _decimate(vec: np.ndarray, s: int, m: int) -> np.ndarray:
     out = np.zeros(vec.shape, dtype=np.int64 if exact else object)
     np.add.at(out, (s % m) * np.arange(m) % m, vec)
     return out
-
-
-def _vanishes(counts: np.ndarray, n: int) -> bool:
-    """Whether each length-n count vector along the last axis is zero in
-    Z[zeta_n], by reduction modulo Phi_n."""
-    return not np.any(reduce_counts(counts, n))
 
 
 def _vanishes_at_powers(base: np.ndarray, m: int, p: int = 0) -> bool:
@@ -259,13 +256,10 @@ def _gauss_slices(field: FiniteField, m: int):
     counted in O(m p + block) memory:
 
     a[i, w]  = #{alpha != 0 : dlog alpha = i mod m, tr alpha = w};
-    m1[j]    = T[j - dlog(-1), j], one _class_pair_sums slab;
-    m2[j]    = sum over i of T[i, j] = h * a[j], the cyclic convolution over
-               traces with the trace histogram h of the nonzero elements.
+    m1[j]    = T[j - dlog(-1), j], one _class_pair_sums slab.
 
-    h takes at most two values on a field, but nothing here assumes it:
-    m2 is c sum(a[j]) for the commonest value c of h, plus one roll of a
-    for each trace where h differs from c.  Raises BoundExceeded where
+    The marginals of T need no count: they are (q/p) f - a (see
+    diffsets.check_gauss).  Raises BoundExceeded where
     verify_jacobi_quotient does, so both skip the same instances.
     """
     p = field.p
@@ -274,13 +268,7 @@ def _gauss_slices(field: FiniteField, m: int):
     a = np.bincount(t.dlog % m * p + t.trace, minlength=m * p).reshape(m, p)
     m1 = _class_pair_sums(_class_grid(field, m),
                           (np.arange(m) - t.dlog_neg_one) % m, p)
-    h = a.sum(axis=0)
-    values, counts = np.unique(h, return_counts=True)
-    c = int(values[np.argmax(counts)])
-    m2 = np.repeat(c * a.sum(axis=1, keepdims=True), p, axis=1)
-    for u in np.flatnonzero(h != c):
-        m2 += (int(h[u]) - c) * np.roll(a, u, axis=1)
-    return a, m1, m2
+    return a, m1
 
 
 def _quotient_slabs(field: FiniteField, m: int):
@@ -363,8 +351,9 @@ def verify_gauss_conjugate_norm(field: FiniteField, m: int) -> bool:
     _require_order(field, m)
     q, p = field.q, field.p
     t = _tables(field)
-    # trivial power: counts of tr(alpha) over all of F_q reduce to zero
-    if not _vanishes(np.bincount(t.trace_all, minlength=p), p):
+    # trivial power: over the prime p, the sum of zeta_p^tr(alpha) vanishes
+    # exactly when the trace counts are constant
+    if not _vanishes_at_powers(np.bincount(t.trace_all, minlength=p), p):
         return False
     base = _pair_counts(q - 1, q - 1, m * p, lambda r: (
         (t.dlog[r, None] - t.dlog[None, :]) % m * p
@@ -435,30 +424,16 @@ def verify_row_sums(field: FiniteField, m: int) -> bool:
     return _vanishes_at_powers(base, m)
 
 
-def _twisted_class_sums(a_cls: np.ndarray) -> np.ndarray:
-    """out[c, j]: exponent counts of the sum over s of zeta^(-s c) S_s, where
-    S_s has the counts _decimate(a_cls, s, m) plus 1 at exponent 0 when
-    s = 0 (its alpha = 1 term).  Decimating by s moves exponent d to s d,
-    so out[c] = a_cls[(d + c) mod m] @ hits with hits[d, j] =
-    #{s : s d = j mod m}, which is gcd(d, m) where that divides j and 0
-    elsewhere; entries stay below q m^2, exact in int64.
-    """
-    m = len(a_cls)
-    k = np.arange(m)
-    g = np.gcd(k, m)[:, None]
-    out = a_cls[(k[:, None] + k) % m] @ np.where(k % g == 0, g, 0)
-    out[:, 0] += 1
-    return out
-
-
 def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
-    """The three counting facts behind the class sums, exhaustively in gamma.
+    """The two counting facts behind the class sums, exhaustively in gamma,
+    read from the literal difference histograms.
 
     (i) ordered pairs of m-th powers at difference gamma are counted by
     the class of gamma alone, via (beta, delta) -> delta/beta;
     (ii) appending 0 to the class adds indicator corrections for gamma
-    and -gamma; (iii) the character-averaged class sums recover m times
-    the pair count plus one.
+    and -gamma.  (That the character-averaged class sums recover m times
+    the pair count plus one holds for any counts, by orthogonality, so it
+    needs no check.)
     """
     _require_order(field, m)
     q = field.q
@@ -475,12 +450,7 @@ def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     in_h[h_codes] = 1
     neg = field.codes_sub(np.zeros(q - 1, dtype=np.int64), t.codes)
     expected = b[1:] + in_h[t.codes] + in_h[neg]
-    if not np.array_equal(c[1:], expected):
-        return False
-    # character-averaged recovery of the pair counts, one gamma class a row
-    twisted = _twisted_class_sums(a_cls)
-    twisted[:, 0] -= m * a_cls + 1
-    return _vanishes(twisted, m)
+    return bool(np.array_equal(c[1:], expected))
 
 
 def verify_class_difference_sums(field: FiniteField, m: int) -> bool:

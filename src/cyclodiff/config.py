@@ -9,13 +9,13 @@ booleans, non-integers for integer limits, and values that are not
 positive and finite.
 
 One bound, cyclotomic_n_max, covers every ring Z[zeta_n] the package
-works in: reduced CycInt values and the count-vector reductions of the
-twisted class-sum check, except that a count vector of prime order p
-reduces by one fold and is not held to it.  The difference-set routes
-and the all-powers identity checks reduce only in zeta_p; they hold a
-composite order m to the bound only so that they skip the instances they
-always skipped (cyclotomic.check_count_order).  With the default, 2048,
-the charsum and jacobi routes decide every instance with q <= 2049.  The
+works in, and so every reduced CycInt value, except that a count vector
+of prime order p reduces by one fold and is not held to it.  The
+difference-set routes and the identity suite reduce only in zeta_p; they
+hold a composite order m to the bound only so that they skip the
+instances they always skipped (cyclotomic.check_count_order).  With the
+default, 2048, the charsum and jacobi routes decide every instance with
+q <= 2049.  The
 keys reduction_n_max and jacobi_direct_m_max of earlier versions no
 longer exist and are rejected.
 """

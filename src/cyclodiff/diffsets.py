@@ -5,9 +5,10 @@ H with zero appended.  Four routes decide whether such a class is a
 difference set: literal difference counting, class sums, Jacobi row
 sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
 count from the same class pairs (charsums._class_pairs), and the Gauss
-route counts one class slab of the trace pair tensor and two marginals
-from the dlog and trace tables (charsums._gauss_slices).  All three test
-every nontrivial power at once with charsums._vanishes_at_powers: by
+route counts one class slab of the trace pair tensor and the per-class
+trace histogram from the dlog and trace tables (charsums._gauss_slices).
+All three test every nontrivial power at once with
+charsums._vanishes_at_powers: by
 Fourier inversion over Z/m their counts vanish at every such power
 exactly when they are constant (after a fold in zeta_p for gauss, sound
 as gcd(m, p) = 1), so no route reduces in Z[zeta_m].  The direct route
@@ -199,30 +200,39 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
 
     Works on exponent counts, so nothing is ever rounded.  The pair
     tensor T[i, j, w] of traces by class expands every G_s G_t, but the
-    relation reads only its slice T[j - dlog(-1), j] and its two
-    marginals, which charsums._gauss_slices counts without building T:
-    the slice as one class slab over (q - 1)^2 / m pairs, and the
-    marginals as convolutions of the per-class trace histogram.  Raises
-    BoundExceeded past gauss_check_m_max, the (q - 1)^2 pair budget or
-    the m m p slab budget that the Jacobi quotient identity also obeys,
-    so the skipped instances do not depend on how the slices are counted.
+    relation reads only its slice T[j - dlog(-1), j], its two marginals
+    and the per-class trace histogram a.  The marginals follow from a and
+    drop out of the constancy test (see below), so charsums._gauss_slices
+    counts only a and the slice, as one class slab over (q - 1)^2 / m
+    pairs.  Raises BoundExceeded past gauss_check_m_max, the (q - 1)^2
+    pair budget or the m m p slab budget that the Jacobi quotient identity
+    also obeys, so the skipped instances do not depend on how the slices
+    are counted.
     """
     params = DSParams.from_instance(field.q, m, modified)
     if not params.feasible:
         return VERDICT_INFEASIBLE
-    q, p = field.q, field.p
+    q = field.q
     m_max = current_limits().gauss_check_m_max
     if m > m_max or (q - 1) ** 2 > _PAIRS_MAX:
         raise BoundExceeded(f"gauss route caps m at {m_max} and (q-1)^2 pairs "
                             f"at {_PAIRS_MAX}; got m={m}, q={q}")
-    a, m1, m2 = _gauss_slices(field, m)
-    lneg = _tables(field).dlog_neg_one
-    # the pair tensor is symmetric, so its other marginal is m2, re-centred
-    m3 = m2[(np.arange(m) - lneg) % m]
-    scale = 1 - m if modified else 1
-    # decimating roll(a, l) by s gives roll(decimate(a, s), s l)
-    base = m * m1 - m2 - m3 - scale * (a + np.roll(a, lneg, axis=0))
-    return VERDICT_DS if _vanishes_at_powers(base, m, p) else VERDICT_NOT
+    a, m1 = _gauss_slices(field, m)
+    # With L = dlog(-1) and f = (q - 1)/m, the relation's counts are
+    #   m m1 - m2 - m3 - scale (a + roll(a, L)),  scale = 1 or 1 - m,
+    # where the marginals m2, m3 are the convolutions of a and of
+    # roll(a, L) with the trace histogram of the nonzero elements.  The
+    # trace maps F_q onto F_p with fibres of q/p elements, so that
+    # histogram is q/p - [w = 0], and each row of a sums to f: m2 = (q/p) f
+    # - a and m3 = (q/p) f - roll(a, L).  The counts are then
+    #   m m1 + (1 - scale) (a + roll(a, L)) - 2 (q/p) f.
+    # A constant matrix folds to zero in zeta_p and the factor m != 0 does
+    # not change constancy, so only m1, plus a + roll(a, L) when modified,
+    # is tested.
+    base = m1
+    if modified:
+        base = m1 + a + np.roll(a, _tables(field).dlog_neg_one, axis=0)
+    return VERDICT_DS if _vanishes_at_powers(base, m, field.p) else VERDICT_NOT
 
 
 def difference_counts(field: FiniteField, m: int, gamma) -> tuple[int, int, int]:

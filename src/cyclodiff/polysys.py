@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import gcd, inf
 from typing import Optional
 
 from mpmath import iv
@@ -408,8 +408,12 @@ def verify_solution(system: PolySystem, sol: SolutionVector,
     a sqrt(q) scale (gauss solutions); each polynomial is rebalanced by
     integer powers of q, legal because every term has g-degree 0 or 2.
     numeric: certified interval evaluation, plus the real-and-modulus
-    membership checks at the g level.
+    membership checks at the g level.  tol must satisfy 0 <= tol < inf,
+    else ValueError: an infinite tolerance would pass any point.
     """
+    if not 0 <= tol < inf:
+        raise ValueError(f"tolerance must be finite and non-negative, "
+                         f"got {tol!r}")
     if len(sol.values) != len(system.var_names):
         raise ArityMismatch(f"{len(sol.values)} values for "
                             f"{len(system.var_names)} variables")
@@ -729,6 +733,8 @@ def system_from_text(text: str) -> PolySystem:
         raise ParseError("missing vars line")
     names = tuple(lines[1][len("vars: "):].split())
     index = {nm: i for i, nm in enumerate(names)}
+    if len(index) != len(names):
+        raise ParseError(f"repeated variable name in {lines[1]!r}")
     polys = []
     for ln in lines[2:]:
         if not ln.startswith("poly: "):

@@ -11,7 +11,7 @@ from sympy import mobius, totient
 from cyclodiff import charsums, cyclotomic
 from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
                                 _gauss_slices, _quotient_slabs, _tables,
-                                _twisted_class_sums, _vanishes_at_powers,
+                                _vanishes_at_powers,
                                 character, chi_eval,
                                 gauss_sum, h_class_sum, jacobi_row_sum,
                                 jacobi_sum, verify_class_difference_counts,
@@ -217,20 +217,17 @@ def test_identity_suite_small_fields():
         assert all(results.values()), (p, e, m, results)
 
 
-def test_twisted_class_sums_match_the_loop():
-    # reference: scatter each S_s, shifted by -s c, one row at a time
-    for p, e in [(13, 1), (3, 2), (2, 4), (31, 1), (13, 2)]:
-        field = make_field(p, e)
-        for m in [d for d in range(2, field.q) if (field.q - 1) % d == 0]:
-            a_cls = _class_sum_counts(field, m)
-            s_mat = np.array([_decimate(a_cls, s, m) for s in range(m)])
-            s_mat[0, 0] += 1
-            got = _twisted_class_sums(a_cls)
-            for c in range(m):
-                want = np.zeros(m, dtype=np.int64)
-                for s in range(m):
-                    np.add.at(want, (np.arange(m) - s * c) % m, s_mat[s])
-                assert np.array_equal(got[c], want), (p, e, m, c)
+def test_decimated_unit_vectors_sum_to_the_orthogonality_relation():
+    # sum over s < m of zeta_m^(s d) is m when d = 0 mod m and 0 otherwise;
+    # keeps reduce_counts at composite orders under test
+    for m in range(1, 65):
+        for d in range(m):
+            unit = np.zeros(m, dtype=np.int64)
+            unit[d] = 1
+            total = sum(_decimate(unit, s, m) for s in range(m))
+            want = np.zeros(len(reduce_counts(total, m)), dtype=np.int64)
+            want[0] = m if d == 0 else 0
+            assert np.array_equal(reduce_counts(total, m), want), (m, d)
 
 
 def _loop_reference(base, m, powers, p=0):
@@ -325,8 +322,8 @@ def test_sweep_matches_the_per_power_loop():
 
 
 def test_routes_build_no_composite_reduction_table(monkeypatch):
-    # the routes test every power by constancy, so the only reduction left
-    # is the gauss route's fold in zeta_p, at a prime order
+    # the routes and the identity suite test every power by constancy, so
+    # the only reductions left are the folds in zeta_p, at a prime order
     orders = []
     rows = cyclotomic.reduction_rows
     monkeypatch.setattr(cyclotomic, "reduction_rows",
@@ -340,6 +337,7 @@ def test_routes_build_no_composite_reduction_table(monkeypatch):
                         check(field, m, modified)
                     except BoundExceeded:
                         pass  # the gauss route past gauss_check_m_max
+            assert all(verify_identity_suite(field, m).values()), (p, e, m)
     assert orders and all(is_prime(n) for n in orders), sorted(set(orders))
 
 
@@ -366,8 +364,9 @@ def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch):
 
 def test_gauss_slices_match_the_pair_tensor(monkeypatch):
     # the slices the gauss route reads, against the full tensor: the
-    # diagonal T[j - dlog(-1), j] and both marginals (T is symmetric);
-    # a, the per-class trace histogram, against a literal count
+    # diagonal T[j - dlog(-1), j]; a, the per-class trace histogram,
+    # against a literal count; and both marginals (T is symmetric) against
+    # (q/p) f - a, the form check_gauss folds them into
     blocks = (charsums._PAIR_BLOCK, 1)
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
@@ -379,12 +378,13 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch):
             for block in blocks:
                 monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
                 tensor = _pair_tensor(field, m)
-                a, m1, m2 = _gauss_slices(field, m)
+                a, m1 = _gauss_slices(field, m)
                 assert np.array_equal(a, want_a), (q, m, block)
                 assert np.array_equal(
                     m1, tensor[(j - t.dlog_neg_one) % m, j]), (q, m, block)
-                assert np.array_equal(m2, tensor.sum(axis=0)), (q, m, block)
-                assert np.array_equal(m2, tensor.sum(axis=1)), (q, m, block)
+                marginal = (q // p) * a.sum(axis=1, keepdims=True) - a
+                assert np.array_equal(tensor.sum(axis=0), marginal), (q, m)
+                assert np.array_equal(tensor.sum(axis=1), marginal), (q, m)
 
 
 def test_no_pair_count_is_larger_than_one_class_slab(monkeypatch):

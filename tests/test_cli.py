@@ -260,6 +260,40 @@ def test_sys_verify_pipeline(tmp_path, capsys):
     assert _json_out(capsys)["ok"] is False
 
 
+def test_sys_verify_refuses_a_tolerance_outside_zero_to_infinity(
+        tmp_path, capsys):
+    # g1 = 5 is far off the variety (max_bound 24.5); --tol inf used to
+    # certify it, and -1 or nan reported a usage error as a discrepancy
+    system = tmp_path / "sys.txt"
+    sol = tmp_path / "sol.json"
+    assert run(["sys", "gen", "--m", "6", "--format", "text",
+                "--output", str(system)]) == 0
+    assert run(["sys", "explicit", "--m", "6", "--output", str(sol)]) == 0
+    data = json.loads(sol.read_text())
+    data["values"][1]["coeffs"] = [5, 0, 0, 0]
+    sol.write_text(json.dumps(data))
+    argv = ["sys", "verify", "--system", str(system), "--solution", str(sol),
+            "--mode", "numeric", "--tol"]
+    assert run(argv + ["1e-9"]) == 2
+    assert _json_out(capsys)["ok"] is False
+    for tol in ("inf", "-1", "nan"):
+        assert run(argv + [tol]) == 1, tol
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("cyclodiff: tolerance must be finite")
+
+
+def test_sys_parse_refuses_a_repeated_variable_name(tmp_path, capsys):
+    text = tmp_path / "sys.txt"
+    for names in ("g0 g0", "h g0 h"):
+        text.write_text("# cyclodiff-system v1 m=2 level=g theta=-\n"
+                        f"vars: {names}\npoly: 1*g0^2\n")
+        assert run(["sys", "parse", "--system", str(text)]) == 1, names
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "repeated variable name" in out.err
+
+
 def test_sys_verify_rejects_malformed_solution_json(tmp_path, capsys):
     system = tmp_path / "sys.txt"
     sol = tmp_path / "sol.json"

@@ -160,6 +160,16 @@ def test_verify_mode_errors():
         verify_solution(gen_g_system(8), sol, mode="exact")
 
 
+@pytest.mark.parametrize("tol", [float("inf"), -1.0, float("nan")])
+def test_verify_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    # an infinite tolerance used to pass a point far off the variety
+    bad = SolutionVector("g", 6, None,
+                         (CycInt.integer(5),) + explicit_solution(6).values[1:],
+                         {})
+    with pytest.raises(ValueError):
+        verify_solution(gen_g_system(6), bad, mode="numeric", tol=tol)
+
+
 def test_exact_verify_rejects_wrong_point():
     sol = explicit_solution(6)
     bad = SolutionVector("g", 6, None,
@@ -314,6 +324,12 @@ def test_system_text_errors():
         system_from_text(good.replace("g1", "g9", 1))
     with pytest.raises(ParseError):
         system_from_text(good + "poly: 3*\n")
+    # a repeated name would leave the polynomials short of var_names
+    header = "# cyclodiff-system v1 m=2 level=g theta=-\n"
+    for text in ("vars: g0 g0\npoly: 1*g0^2\n",
+                 "vars: h g0 h\npoly: 1*h^1 - 1*g0^1\n"):
+        with pytest.raises(ParseError, match="repeated variable"):
+            system_from_text(header + text)
 
 
 def test_solution_json_round_trip():
