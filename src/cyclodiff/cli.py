@@ -335,8 +335,9 @@ def _cmd_gb_table(args) -> int:
                                          **_limit_kwargs(args))
                 entry["computed"] = list(poly.coeffs)
                 entry["status"] = "match" if poly == fixture else "MISMATCH"
-            except LimitExceeded:
-                entry["status"] = "undecided"
+            except LimitExceeded as exc:
+                entry.update(status="undecided", reason=str(exc),
+                             stats=exc.stats)
         mismatch = mismatch or entry.get("status") == "MISMATCH"
         entries.append(entry)
     gate_ok = (checks["gate"]["gate_holds"]
@@ -352,6 +353,8 @@ def _cmd_gb_table(args) -> int:
         for entry in entries:
             fx = IntPoly(entry["fixture"])
             status = entry.get("status", "fixture")
+            if "reason" in entry:
+                status += f": {entry['reason']}"
             lines.append(f"  theta {entry['theta']:>2}  {fx}  [{status}]")
         lines.append(f"  combined  {combined}")
         lines.append(f"  checks    product_ok="

@@ -13,6 +13,20 @@ Pairs are ranked once, when they are created, and kept in a heap, so
 selection costs a logarithm rather than a pass over every pending
 pair.  Stored coefficients are measured after content removal, which
 keeps the intermediate growth observable.
+
+Inside the engine a monomial is one packed int (Bachmann and
+Schoenemann's packed representation): a 16-bit field per variable
+holds B - e_i, with B = 32767, and the total degree sits above the
+fields, so integer order is grevlex order, the lead of a term dict is
+its max, and a product, a shift, a divisibility test or an lcm is a
+few integer operations (see _Packing).  MPoly stays the type at the
+boundary: exponents are packed on entry and unpacked into every GBasis.
+A field holds no exponent above B, so the engine holds no monomial of
+total degree above B.  Reduction never raises a term's degree above
+its lead's, so degree can grow only at packing, at an S-pair's lcm and
+at each shift of the minimal-polynomial search; each of the three
+raises LimitExceeded past B (callers report undecided) rather than let
+a field wrap.
 """
 
 from __future__ import annotations
@@ -45,18 +59,93 @@ def _lead(terms: dict) -> tuple:
     return max(terms, key=_grevlex_key)
 
 
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+# -- packed monomials ------------------------------------------------------------
+
+_W = 16                         # bits per exponent field
+_B = (1 << (_W - 1)) - 1        # largest total degree the engine holds
+_FIELD = (1 << _W) - 1
+
+
+class _Packing:
+    """Exponent tuples in n variables as ints whose order is grevlex.
+
+    K(e) = deg(e) << W*n | sum((B - e_i) << W*i): the degree decides
+    first, then the smaller power of the last variable wins, as in
+    _grevlex_key.  With every exponent at most B the top bit of each
+    W-bit field is clear, and the arithmetic below never borrows from
+    one field into the next:
+
+    - product: K(a*b) = K(a) + K(b) - base, when deg(a*b) <= B; a shift
+      by b/a is K(e) + (K(b) - K(a));
+    - a divides b iff ((K(a) | borrow) - K(b)) & borrow == borrow, since
+      the field of B - a_i + 2^(W-1) - (B - b_i) keeps its top bit
+      exactly when a_i <= b_i;
+    - lcm: the same borrow mask picks each field from one side.
+    """
+
+    __slots__ = ("n", "top", "base", "borrow", "low")
+
+    def __init__(self, n: int):
+        ones = sum(1 << (_W * i) for i in range(n))
+        self.n = n
+        self.top = _W * n
+        self.base = _B * ones                   # K(1), the constant monomial
+        self.borrow = (1 << (_W - 1)) * ones
+        self.low = (1 << self.top) - 1
+
+    def pack(self, exps) -> int:
+        return (sum(exps) << self.top) + self.base \
+            - sum(e << (_W * i) for i, e in enumerate(exps))
+
+    def unpack(self, key: int) -> tuple:
+        return tuple(_B - (key >> (_W * i) & _FIELD) for i in range(self.n))
+
+    def pack_terms(self, terms: dict) -> dict:
+        """Packed copy of an exponent-tuple dict; LimitExceeded past B."""
+        deg = max((sum(e) for e in terms), default=0)
+        if deg > _B:
+            raise LimitExceeded(f"total degree {deg} exceeds {_B}")
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(k): c for k, c in terms.items()}
+
+    def degree(self, key: int) -> int:
+        return key >> self.top
+
+    def divides(self, a: int, b: int) -> bool:
+        borrow = self.borrow
+        return ((a | borrow) - b) & borrow == borrow
+
+    def lcm(self, a: int, b: int) -> int:
+        """K(lcm(a, b)) of two packed monomials of degree at most B."""
+        take_b = (((a | self.borrow) - b) & self.borrow) >> (_W - 1)
+        mask = take_b * _FIELD
+        low = (b & mask) | (a & (self.low ^ mask))
+        # deg = n*B - (sum of low's fields), and low is that sum modulo
+        # 2^W - 1, since 2^W = 1 there; deg lies in [hi, hi + the lower
+        # degree], a window of at most B + 1 < 2^W - 1 values
+        hi = max(a, b) >> self.top
+        deg = hi + (self.n * _B - low - hi) % _FIELD
+        return (deg << self.top) | low
+
+
 # -- polynomials -----------------------------------------------------------------
 
 
 def _strip_content(d: dict) -> dict:
-    """Primitive part of an int-coefficient dict: divided by its content,
-    with a positive leading coefficient."""
+    """Primitive part of a packed int-coefficient dict: divided by its
+    content, with a positive leading coefficient."""
     if not d:
         return {}
     g = 0
     for c in d.values():
         g = gcd(g, c)
-    if d[_lead(d)] < 0:
+    if d[max(d)] < 0:
         g = -g
     return {e: c // g for e, c in d.items()}
 
@@ -65,13 +154,9 @@ def _max_bits(d: dict) -> int:
     return max(abs(c).bit_length() for c in d.values())
 
 
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _gen_triple(d: dict) -> tuple:
-    """(terms, leading exps, leading coeff) of an int-coefficient dict."""
-    lead = _lead(d)
+    """(terms, leading key, leading coeff) of a packed int dict."""
+    lead = max(d)
     return d, lead, d[lead]
 
 
@@ -80,11 +165,12 @@ def _gen_triple(d: dict) -> tuple:
 _DEADLINE_STEPS = 256
 
 
-def _reduce_full(f: dict, gens: list,
+def _reduce_full(f: dict, gens: list, packing: _Packing,
                  deadline: Optional[float] = None) -> tuple[dict, int]:
-    """Fraction-free remainder of the int polynomial f on division by gens.
+    """Fraction-free remainder of the packed int polynomial f on division
+    by gens.
 
-    gens entries are (terms dict, leading exps, leading coeff) with int
+    gens entries are (packed terms, leading key, leading coeff) with int
     coefficients.  Returns (r, mult): mult is a positive integer, every
     term of r is irreducible, and r is exactly mult times the remainder
     that the same division over Q leaves.  To cancel a leading term c
@@ -93,6 +179,7 @@ def _reduce_full(f: dict, gens: list,
     and c / gcd(c, glc) times the shifted generator is subtracted.
     Past deadline (a time.monotonic() value) it raises LimitExceeded.
     """
+    borrow = packing.borrow
     remainder: dict = {}
     work = {e: c for e, c in f.items() if c}
     mult = 1
@@ -103,9 +190,10 @@ def _reduce_full(f: dict, gens: list,
             raise LimitExceeded(f"deadline passed after {steps} reduction "
                                 f"steps")
         steps += 1
-        lead = _lead(work)
+        lead = max(work)
         for gterms, glead, glc in gens:
-            if _divides(glead, lead):
+            # _Packing.divides(glead, lead), inlined in the hot loop
+            if ((glead | borrow) - lead) & borrow == borrow:
                 c = work[lead]
                 g = gcd(c, glc)
                 scale, factor = glc // g, c // g
@@ -115,9 +203,9 @@ def _reduce_full(f: dict, gens: list,
                     mult *= scale
                     work = {e: scale * v for e, v in work.items()}
                     remainder = {e: scale * v for e, v in remainder.items()}
-                shift = tuple(a - b for a, b in zip(lead, glead))
+                shift = lead - glead
                 for ge, gc in gterms.items():
-                    key = tuple(a + b for a, b in zip(ge, shift))
+                    key = ge + shift
                     val = work.get(key, 0) - factor * gc
                     if val:
                         work[key] = val
@@ -129,21 +217,24 @@ def _reduce_full(f: dict, gens: list,
     return remainder, mult
 
 
-def _spoly(a, b) -> dict:
-    """S-polynomial of two int (terms, lead, lc) triples, times
-    ac * bc / gcd(ac, bc) so that no coefficient is divided."""
+def _spoly(a, b, packing: _Packing) -> dict:
+    """S-polynomial of two packed int (terms, lead, lc) triples, times
+    ac * bc / gcd(ac, bc) so that no coefficient is divided.  Raises
+    LimitExceeded when the lcm of the leads is past the packed bound."""
     (at, al, ac), (bt, bl, bc) = a, b
-    lcm = tuple(max(x, y) for x, y in zip(al, bl))
-    sa = tuple(l - x for l, x in zip(lcm, al))
-    sb = tuple(l - x for l, x in zip(lcm, bl))
+    lcm = packing.lcm(al, bl)
+    if packing.degree(lcm) > _B:
+        raise LimitExceeded(f"S-pair lcm of total degree "
+                            f"{packing.degree(lcm)} exceeds {_B}")
+    sa, sb = lcm - al, lcm - bl
     g = gcd(ac, bc)
     fa, fb = bc // g, ac // g
     out: dict = {}
     for e, c in at.items():
-        key = tuple(x + y for x, y in zip(e, sa))
+        key = e + sa
         out[key] = out.get(key, 0) + fa * c
     for e, c in bt.items():
-        key = tuple(x + y for x, y in zip(e, sb))
+        key = e + sb
         out[key] = out.get(key, 0) - fb * c
     return {e: c for e, c in out.items() if c}
 
@@ -163,8 +254,9 @@ class GBasis:
                 and list(self.generators[0].terms) == [(0,) * self.nvars])
 
 
-def _basis_triples(basis: GBasis) -> list:
-    return [_gen_triple(g.terms) for g in basis.generators]
+def _basis_triples(basis: GBasis, packing: _Packing) -> list:
+    return [_gen_triple(packing.pack_terms(g.terms))
+            for g in basis.generators]
 
 
 def buchberger(system, seed: int = 0,
@@ -178,7 +270,8 @@ def buchberger(system, seed: int = 0,
     The seed only permutes tie-breaking among equally ranked pairs, so
     it changes the route, never the reduced basis: a property the tests
     lean on.  Limits fall back to the configured defaults; exceeding one
-    raises LimitExceeded carrying the partial, uncertified basis.  A
+    raises LimitExceeded carrying the partial, uncertified basis, and so
+    does a monomial of total degree above 32767, the packed bound.  A
     given limit must pass the same check as CYCLODIFF_LIMITS, so 0, a
     negative value or a bool is refused, never read as the default.
     """
@@ -194,39 +287,22 @@ def buchberger(system, seed: int = 0,
     if not polys:
         raise ValueError("empty generating set")
     nvars = polys[0].nvars
+    for p in polys:
+        if p.nvars != nvars:
+            raise OrderMismatch(f"generators in {nvars} and {p.nvars} "
+                                f"variables")
+    packing = _Packing(nvars)
     t0 = time.monotonic()
     deadline = t0 + timeout
     stats = {"spairs_reduced": 0, "spairs_discarded": 0,
              "max_coeff_bits": 0, "generators": 0, "seconds": 0.0}
 
-    # (terms dict, lead exps, lead coeff), primitive int coefficients
-    basis = [_gen_triple(_strip_content(p.terms)) for p in polys
-             if not p.is_zero()]
-
-    def lcm_of(i, j):
-        return tuple(max(x, y) for x, y in zip(basis[i][1], basis[j][1]))
-
-    def pair_rank(i, j):
-        lcm = lcm_of(i, j)
-        tie = ((i * 2654435761 + j * 40503) ^ seed) & 0xFFFFFFFF
-        return (_grevlex_key(lcm), tie)
-
-    # a pair's rank is fixed once both generators exist, so each pair is
-    # ranked once, on creation; pending is the membership index that the
-    # chain criterion reads
-    queue: list = []
-    pending: set = set()
-
-    def add_pairs(new):
-        for t in range(new):
-            heapq.heappush(queue, (pair_rank(t, new), t, new))
-            pending.add((t, new))
-
-    for new in range(len(basis)):
-        add_pairs(new)
+    # (packed terms, lead key, lead coeff), primitive int coefficients
+    basis: list = []
 
     def partial_basis():
-        gens = tuple(MPoly(nvars, d) for d, _, _ in basis)
+        gens = tuple(MPoly(nvars, packing.unpack_terms(d))
+                     for d, _, _ in basis)
         return GBasis(gens, nvars, certified=False, stats=stats)
 
     def bail(reason):
@@ -234,22 +310,47 @@ def buchberger(system, seed: int = 0,
         stats["generators"] = len(basis)
         raise LimitExceeded(reason, stats=stats, partial=partial_basis())
 
+    for p in polys:
+        if p.is_zero():
+            continue
+        try:
+            terms = packing.pack_terms(p.terms)
+        except LimitExceeded as exc:
+            bail(str(exc))
+        basis.append(_gen_triple(_strip_content(terms)))
+
+    # a pair's rank, (lcm key, seeded tie), is fixed once both
+    # generators exist, so each pair is ranked once, on creation; pending
+    # is the membership index that the chain criterion reads
+    queue: list = []
+    pending: set = set()
+
+    def add_pairs(new):
+        lead = basis[new][1]
+        for t in range(new):
+            tie = ((t * 2654435761 + new * 40503) ^ seed) & 0xFFFFFFFF
+            heapq.heappush(queue,
+                           (packing.lcm(basis[t][1], lead), tie, t, new))
+            pending.add((t, new))
+
+    for new in range(len(basis)):
+        add_pairs(new)
+
     def reduce(f, gens):
         try:
-            rem, _ = _reduce_full(f, gens, deadline)
+            rem, _ = _reduce_full(f, gens, packing, deadline)
         except LimitExceeded:
-            bail(f"timeout after {timeout:.0f}s")
+            bail(f"timeout after {timeout:g}s")
         return _strip_content(rem)
 
+    divides = packing.divides
     while queue:
         if stats["spairs_reduced"] >= max_spairs:
             bail(f"S-pair budget {max_spairs} exhausted")
-        _, i, j = heapq.heappop(queue)
+        lcm, _, i, j = heapq.heappop(queue)
         pending.discard((i, j))
-        li, lj = basis[i][1], basis[j][1]
-        lcm = lcm_of(i, j)
         # coprime leading monomials: S-polynomial reduces to zero
-        if all(x + y == z for x, y, z in zip(li, lj, lcm)):
+        if basis[i][1] + basis[j][1] - packing.base == lcm:
             stats["spairs_discarded"] += 1
             continue
         # chain criterion: a third generator divides the lcm and both
@@ -258,7 +359,7 @@ def buchberger(system, seed: int = 0,
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _divides(basis[k][1], lcm) \
+            if divides(basis[k][1], lcm) \
                     and tuple(sorted((i, k))) not in pending \
                     and tuple(sorted((j, k))) not in pending:
                 settled = True
@@ -266,7 +367,11 @@ def buchberger(system, seed: int = 0,
         if settled:
             stats["spairs_discarded"] += 1
             continue
-        rem = reduce(_spoly(basis[i], basis[j]), basis)
+        try:
+            spoly = _spoly(basis[i], basis[j], packing)
+        except LimitExceeded as exc:
+            bail(str(exc))
+        rem = reduce(spoly, basis)
         stats["spairs_reduced"] += 1
         if not rem:
             continue
@@ -280,7 +385,7 @@ def buchberger(system, seed: int = 0,
     # minimalize: drop generators whose lead another lead divides
     keep = []
     for i, (_, li, _) in enumerate(basis):
-        if not any(k != i and _divides(basis[k][1], li)
+        if not any(k != i and divides(basis[k][1], li)
                    for k in range(len(basis)) if k in keep or k > i):
             keep.append(i)
     minimal = [basis[i] for i in keep]
@@ -291,8 +396,8 @@ def buchberger(system, seed: int = 0,
         rem = reduce(d, others) if others else _strip_content(d)
         if rem:
             reduced.append(rem)
-    reduced.sort(key=lambda d: _grevlex_key(_lead(d)))
-    gens = tuple(MPoly(nvars, d) for d in reduced)
+    reduced.sort(key=max)
+    gens = tuple(MPoly(nvars, packing.unpack_terms(d)) for d in reduced)
     stats["seconds"] = time.monotonic() - t0
     stats["generators"] = len(gens)
     return GBasis(gens, nvars, certified=True, stats=stats)
@@ -305,16 +410,20 @@ def normal_form(f: MPoly, basis: GBasis) -> MPoly:
     if f.nvars != basis.nvars:
         raise OrderMismatch(f"{f.nvars} variables against basis in "
                             f"{basis.nvars}")
-    rem, _ = _reduce_full(f.terms, _basis_triples(basis))
-    return MPoly(f.nvars, _strip_content(rem))
+    packing = _Packing(f.nvars)
+    rem, _ = _reduce_full(packing.pack_terms(f.terms),
+                          _basis_triples(basis, packing), packing)
+    return MPoly(f.nvars, packing.unpack_terms(_strip_content(rem)))
 
 
 def certify(basis: GBasis) -> bool:
     """Independent check: every S-polynomial reduces to zero."""
-    gens = _basis_triples(basis)
+    packing = _Packing(basis.nvars)
+    gens = _basis_triples(basis, packing)
     for i in range(len(gens)):
         for j in range(i):
-            if _reduce_full(_spoly(gens[i], gens[j]), gens)[0]:
+            if _reduce_full(_spoly(gens[i], gens[j], packing), gens,
+                            packing)[0]:
                 return False
     return True
 
@@ -367,13 +476,16 @@ def staircase(basis: GBasis, cap: int = 65536) -> list:
 def _minimal_polynomial_of_var(basis: GBasis, var: int,
                                max_power: int) -> Optional[IntPoly]:
     """Monic generator of {p in Q[y] : p(x_var) in ideal}, found as the
-    first linear dependence among normal forms of successive powers."""
-    gens = _basis_triples(basis)
-    nv = basis.nvars
-    rows: dict = {}                 # pivot monomial -> (vec, combo)
+    first linear dependence among normal forms of successive powers.
+    Raises LimitExceeded once a shift would pass the packed degree
+    bound."""
+    packing = _Packing(basis.nvars)
+    gens = _basis_triples(basis, packing)
+    times_var = (1 << packing.top) - (1 << (_W * var))
+    rows: dict = {}                 # pivot key -> (vec, combo)
     # current is scale times the normal form of x_var^k, scale being the
     # product of the reducer's multipliers so far
-    current, scale = _reduce_full({(0,) * nv: 1}, gens)
+    current, scale = _reduce_full({packing.base: 1}, gens, packing)
     for k in range(max_power + 1):
         vec = {e: Fraction(c, scale) for e, c in current.items()}
         combo = [Fraction(0)] * k + [Fraction(1)]
@@ -402,9 +514,13 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
             for c in combo:
                 den = den * c.denominator // gcd(den, c.denominator)
             return IntPoly([int(c * den) for c in combo]).primitive()
-        shifted = {e[:var] + (e[var] + 1,) + e[var + 1:]: c
-                   for e, c in current.items()}
-        current, mult = _reduce_full(shifted, gens)
+        deg = packing.degree(max(current)) + 1
+        if deg > _B:
+            raise LimitExceeded(f"minimal-polynomial shift to total degree "
+                                f"{deg} exceeds {_B}",
+                                stats=dict(basis.stats))
+        shifted = {e + times_var: c for e, c in current.items()}
+        current, mult = _reduce_full(shifted, gens, packing)
         scale *= mult
     return None
 

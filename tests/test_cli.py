@@ -402,6 +402,28 @@ def test_gb_solve_undecided(capsys):
     assert payload["stats"]["spairs_reduced"] >= 1
 
 
+def test_gb_solve_timeout_reason_states_the_limit(capsys):
+    # a limit below one second is printed as given, not rounded to 0s
+    assert run(["gb", "solve", "--m", "4", "--theta", "0",
+                "--limits", '{"gb_timeout": 1e-9}']) == 1
+    payload = _json_out(capsys)
+    assert payload["result"] == "undecided"
+    assert payload["reason"] == "timeout after 1e-09s"
+
+
+def test_gb_table_undecided_rows_say_why(capsys):
+    limits = ["--limits", '{"gb_max_spairs": 1}']
+    assert run(["gb", "table", "--m", "6"] + limits) == 0
+    rows = _json_out(capsys)["rows"]
+    assert [row["status"] for row in rows] == ["undecided"] * 2
+    for row in rows:
+        assert row["reason"] == "S-pair budget 1 exhausted"
+        assert row["stats"]["spairs_reduced"] == 1
+    assert run(["gb", "table", "--m", "6", "--format", "text"] + limits) == 0
+    out = capsys.readouterr().out
+    assert "x^2 - 4  [undecided: S-pair budget 1 exhausted]" in out
+
+
 def test_gb_table_fixtures(capsys):
     assert run(["gb", "table", "--m", "16", "--fixtures-only"]) == 0
     payload = _json_out(capsys)

@@ -3,12 +3,14 @@ univariate aggregate polynomials."""
 
 import pytest
 import sympy as sp
+from hypothesis import given, strategies as st
 
 from cyclodiff import groebner
 from cyclodiff.errors import (CyclodiffError, LimitExceeded,
                               NotZeroDimensional, OrderMismatch,
                               UncertifiedBasis)
-from cyclodiff.groebner import (GBasis, _grevlex_key, buchberger, certify,
+from cyclodiff.groebner import (_B, GBasis, _divides, _grevlex_key,
+                                _Packing, buchberger, certify,
                                 compute_f_poly, eliminate_to_univariate,
                                 f_table, is_zero_dimensional, normal_form,
                                 probe_g0_zero, staircase)
@@ -48,6 +50,9 @@ def test_generators_are_primitive_with_positive_leads():
     assert basis.generators == (MPoly(2, {(0, 2): 2, (1, 0): -3}),)
     with pytest.raises(ValueError, match="empty"):
         buchberger([])
+    # every generator packs in the same number of variables
+    with pytest.raises(OrderMismatch, match="2 and 3 variables"):
+        buchberger([MPoly(2, {(1, 0): 1}), MPoly(3, {(0, 0, 1): 1})])
 
 
 def test_monomial_orders():
@@ -58,6 +63,107 @@ def test_monomial_orders():
     assert max([x2y, x3], key=_grevlex_key) == x3
     assert max([(1, 0, 1), (0, 2, 0)], key=_grevlex_key) == (0, 2, 0)
     assert max([(2, 0), (0, 3)], key=_grevlex_key) == (0, 3)
+
+
+# -- packed monomials against the tuple definitions ---------------------------------
+
+
+def _exponent_pairs(cap):
+    """Two exponent tuples in 1 to 6 variables, each exponent at most
+    cap(n), so that their total degrees stay within the packed bound."""
+    def pair(n):
+        vec = st.lists(st.integers(0, cap(n)), min_size=n, max_size=n)
+        return st.tuples(st.just(n), vec.map(tuple), vec.map(tuple))
+    return st.integers(1, 6).flatmap(pair)
+
+
+@given(_exponent_pairs(lambda n: _B // n))
+def test_packed_order_is_grevlex(case):
+    n, a, b = case
+    packing = _Packing(n)
+    ka, kb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(ka) == a and packing.unpack(kb) == b
+    assert (ka < kb) == (_grevlex_key(a) < _grevlex_key(b))
+    assert (ka == kb) == (a == b)
+
+
+@given(_exponent_pairs(lambda n: _B // n))
+def test_packed_divisibility_and_lcm(case):
+    n, a, b = case
+    packing = _Packing(n)
+    ka, kb = packing.pack(a), packing.pack(b)
+    assert packing.divides(ka, kb) == _divides(a, b)
+    assert packing.divides(kb, ka) == _divides(b, a)
+    lcm = packing.lcm(ka, kb)
+    assert lcm == packing.pack(tuple(map(max, a, b)))
+    assert packing.divides(ka, lcm) and packing.divides(kb, lcm)
+    assert packing.divides(packing.pack(tuple(map(min, a, b))), ka)
+    coprime = all(min(x, y) == 0 for x, y in zip(a, b))
+    assert (ka + kb - packing.base == lcm) == coprime
+
+
+@given(_exponent_pairs(lambda n: _B // (2 * n)))
+def test_packed_product_and_shift(case):
+    n, a, b = case
+    packing = _Packing(n)
+    ka, kb = packing.pack(a), packing.pack(b)
+    ab = packing.pack(tuple(x + y for x, y in zip(a, b)))
+    assert ka + kb - packing.base == ab
+    # the reducer's shift of b by the quotient ab / a
+    assert kb + (ab - ka) == packing.pack(tuple(2 * y for y in b))
+
+
+def test_packing_reaches_the_bound_in_every_field():
+    for n in (1, 3, 7):
+        packing = _Packing(n)
+        for v in range(n):
+            top = tuple(_B if i == v else 0 for i in range(n))
+            assert packing.unpack(packing.pack(top)) == top
+            assert packing.divides(packing.pack((0,) * n), packing.pack(top))
+
+
+# -- the degree bound ----------------------------------------------------------------
+
+
+def test_input_past_the_degree_bound_is_refused():
+    with pytest.raises(LimitExceeded, match="total degree 32768 exceeds"
+                                            " 32767") as info:
+        buchberger([MPoly(2, {(1, 0): 1}),
+                    MPoly(2, {(0, _B + 1): 1, (0, 0): 1})])
+    partial = info.value.partial
+    assert isinstance(partial, GBasis) and not partial.certified
+    assert partial.generators == (MPoly(2, {(1, 0): 1}),)
+    # normal forms pack through the same check
+    basis = buchberger([MPoly(2, {(1, 0): 1})])
+    with pytest.raises(LimitExceeded, match="exceeds"):
+        normal_form(MPoly(2, {(_B, 1): 1}), basis)
+
+
+def test_spair_lcm_past_the_degree_bound_is_refused():
+    # both inputs are of degree 20001, their lcm of degree 40000; the
+    # S-polynomial's y^39999 would not fit in a field
+    f = MPoly(2, {(20000, 1): 1, (0, 20000): 1})
+    g = MPoly(2, {(1, 20000): 1, (0, 0): 1})
+    with pytest.raises(LimitExceeded, match="lcm of total degree 40000") \
+            as info:
+        buchberger([f, g], timeout=5)
+    partial = info.value.partial
+    assert isinstance(partial, GBasis) and not partial.certified
+    assert set(partial.generators) == {f, g}
+    assert info.value.stats["spairs_reduced"] == 0
+    with pytest.raises(LimitExceeded, match="lcm of total degree 40000"):
+        certify(GBasis((f, g), 2, certified=False))
+
+
+def test_minimal_polynomial_shift_past_the_degree_bound_is_refused(
+        monkeypatch):
+    # with the bound of 8-bit fields, 127, the search on the order-4
+    # curve (test_positive_dimension_detected) runs its powers of the
+    # aggregate past the bound before it gives up at power 128
+    monkeypatch.setattr(groebner, "_B", 127)
+    with pytest.raises(LimitExceeded, match="minimal-polynomial shift to "
+                                            "total degree 128 exceeds 127"):
+        compute_f_poly(4, 1)
 
 
 # -- Buchberger ---------------------------------------------------------------------
@@ -216,6 +322,23 @@ def test_order6_aggregate_polynomials():
     rows = dict(f_table(6)[0])
     assert f0 == rows[0]
     assert f1 == rows[1]
+
+
+# (polynomial, spairs_reduced, spairs_discarded, max_coeff_bits,
+# generators) of compute_f_poly(6, theta) for every seed 0 to 10
+ORDER6_RUNS = {0: ([-4, 0, 1], 128, 1702, 564, 17),
+               1: ([-1, 0, 7], 122, 1648, 855, 17)}
+
+
+@pytest.mark.parametrize("theta", sorted(ORDER6_RUNS))
+def test_order6_polynomials_and_counters_hold_for_every_seed(theta):
+    for seed in range(11):
+        stats = {}
+        poly = compute_f_poly(6, theta, seed=seed, stats_sink=stats)
+        got = (list(poly.coeffs), stats["spairs_reduced"],
+               stats["spairs_discarded"], stats["max_coeff_bits"],
+               stats["generators"])
+        assert got == ORDER6_RUNS[theta], seed
 
 
 @pytest.mark.parametrize("m,theta", [(12, 0), (12, 2), (16, 1), (20, 0),

@@ -19,7 +19,7 @@ from sympy.polys.orderings import grevlex
 
 from cyclodiff.errors import NotZeroDimensional
 from cyclodiff.groebner import (GBasis, _basis_triples, _grevlex_key,
-                                _reduce_full, buchberger, certify,
+                                _Packing, _reduce_full, buchberger, certify,
                                 eliminate_to_univariate, normal_form)
 from cyclodiff.intpoly import IntPoly
 from cyclodiff.polysys import MPoly, PolySystem
@@ -128,9 +128,14 @@ def test_reducer_remainder_is_a_positive_multiple_of_the_rational_one():
         # checks the normal form
         for divisors in (gens, list(basis.generators)):
             f = _random_poly(rng, nv, 6, max_deg=4)
+            # the reducer works on packed monomials: pack f and the
+            # divisors on the way in, unpack the remainder on the way out
+            packing = _Packing(nv)
             triples = _basis_triples(GBasis(tuple(divisors), nv,
-                                            certified=False))
-            rem, mult = _reduce_full(f.terms, triples)
+                                            certified=False), packing)
+            packed, mult = _reduce_full(packing.pack_terms(f.terms),
+                                        triples, packing)
+            rem = packing.unpack_terms(packed)
             assert isinstance(mult, int) and mult > 0
             assert all(isinstance(c, int) for c in rem.values())
             _, r = sp.reduced(_expr(f, syms),
