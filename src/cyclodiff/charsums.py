@@ -127,26 +127,16 @@ _TENSOR_MAX = 3 * 10 ** 7
 _PAIRS_MAX = 3 * 10 ** 7
 
 
-def _decimate(vec: np.ndarray, s: int, m: int) -> np.ndarray:
-    """out[i] = sum of vec[j] over j with s*j = i mod m: the counts of the
-    power chi^s.  The sums run over Python ints when int64 could overflow,
-    so every entry is exact."""
-    top = max(int(vec.max(initial=0)), -int(vec.min(initial=0)))
-    exact = vec.dtype != object and top * m < 2 ** 63
-    out = np.zeros(vec.shape, dtype=np.int64 if exact else object)
-    np.add.at(out, (s % m) * np.arange(m) % m, vec)
-    return out
-
-
 def _vanishes_at_powers(base: np.ndarray, m: int, p: int = 0) -> bool:
-    """Whether _decimate(base, s, m) is zero for every nontrivial power s.
+    """Whether sum_j base[j] zeta_m^(s j) vanishes at every nontrivial
+    power s.
 
     base is a count vector, or an (m, p) count matrix of zeta_m^j zeta_p^w
-    when p > 0; decimation is linear, so callers fold their targets in.
-    The value at s is sum_j base[j] zeta_m^(s j), the discrete Fourier
-    transform of base over Z/m at frequency s.  By Fourier inversion it
-    vanishes at every s != 0 exactly when base is constant, so the test is
-    one exact comparison, for int64 and Python-int entries alike.  A matrix
+    when p > 0; the value is linear in base, so callers fold their
+    targets in.  The value at s is the discrete Fourier transform of base
+    over Z/m at frequency s.  By Fourier inversion it vanishes at every
+    s != 0 exactly when base is constant, so the test is one exact
+    comparison, for int64 and Python-int entries alike.  A matrix
     is first folded in zeta_p by reduce_counts.  As gcd(m, p) = 1 whenever
     m | q - 1, the powers 1, zeta_p, ..., zeta_p^(p-2) are linearly
     independent over Q(zeta_m), so each folded column must be constant on
@@ -194,20 +184,23 @@ def _class_pairs(field: FiniteField, m: int) -> tuple[np.ndarray, np.ndarray]:
     return t.pair_dlog % m, t.pair_dlog_om % m
 
 
-def _class_sum_counts(field: FiniteField, m: int) -> np.ndarray:
-    """Exponent counts of S_1 without its alpha = 1 term: (0, j)_m over j."""
+def _class_sum_counts(field: FiniteField, m: int, s: int = 1) -> np.ndarray:
+    """Exponent counts of S_s without its alpha = 1 term: the alphas in
+    class 0 counted at s dlog(1 - alpha) mod m."""
     a, b = _class_pairs(field, m)
-    return np.bincount(b[a == 0], minlength=m)
+    return np.bincount(s % m * b[a == 0] % m, minlength=m)
 
 
-def _row_sum_counts(field: FiniteField, m: int) -> np.ndarray:
-    """Exponent counts of the Jacobi row sum at s = 1.
+def _row_sum_counts(field: FiniteField, m: int, s: int = 1) -> np.ndarray:
+    """Exponent counts of the Jacobi row sum at the power s.
 
     The inner sum over t of chi^t(1 - alpha) is m - 1 when 1 - alpha is
     an m-th power and -1 otherwise, so the row sum collapses to
-    m (i, 0)_m minus the number of alphas in class i, over i.
+    m (i, 0)_m minus the number of alphas in class i, each counted at
+    s i mod m, the exponent of chi^s(alpha).
     """
     a, b = _class_pairs(field, m)
+    a = s % m * a % m
     return m * np.bincount(a[b == 0], minlength=m) - np.bincount(a, minlength=m)
 
 
@@ -327,7 +320,7 @@ def jacobi_sum(chi: Character, s: int, t: int) -> CharSumValue:
 def h_class_sum(chi: Character, s: int) -> CharSumValue:
     """S_s: sum of chi^s(1-alpha) over the nonzero m-th powers alpha."""
     field, m = chi.field, chi.m
-    vec = _decimate(_class_sum_counts(field, m), s, m)
+    vec = _class_sum_counts(field, m, s)
     if s % m == 0:
         vec[0] += 1  # alpha = 1 lies in the class; chi^s(0) = 1 there
     return CharSumValue(CycInt.from_counts(vec), (field.q, m, s % m))
@@ -338,7 +331,7 @@ def jacobi_row_sum(chi: Character, s: int) -> CharSumValue:
     field, m = chi.field, chi.m
     if s % m == 0:
         raise TrivialPower(f"s={s} is a multiple of m={m}")
-    vec = _decimate(_row_sum_counts(field, m), s, m)
+    vec = _row_sum_counts(field, m, s)
     return CharSumValue(CycInt.from_counts(vec), (field.q, m, s % m))
 
 

@@ -367,10 +367,17 @@ def _cmd_gb_table(args) -> int:
 
 
 def _cmd_gb_probe_zero(args) -> int:
-    result = gb.probe_g0_zero(args.m, args.theta, seed=args.seed,
-                              **_limit_kwargs(args))
-    _emit(args, {"m": args.m, "theta": args.theta, "result": result})
-    return EXIT_OK
+    payload = {"m": args.m, "theta": args.theta}
+    code = EXIT_OK
+    try:
+        payload["result"] = gb.decide_g0_zero(args.m, args.theta,
+                                              seed=args.seed,
+                                              **_limit_kwargs(args))
+    except LimitExceeded as exc:
+        payload.update(result="undecided", reason=str(exc), stats=exc.stats)
+        code = EXIT_USAGE   # as gb solve on a limit
+    _emit(args, payload)
+    return code
 
 
 # -- parser ----------------------------------------------------------------------

@@ -6,27 +6,33 @@ the univariate polynomial whose roots are the admissible g0 values.
 Elimination has one route: a grevlex basis, then the first linear
 dependence among normal forms of powers of the aggregate.  grevlex is
 the one monomial order and polysys.MPoly the one polynomial type.
-Basis arithmetic is in integers: generators are stored as primitive
-MPoly, and reduction is fraction-free, scaling the working polynomial
-by the cofactor of each leading coefficient instead of dividing by it.
 Pairs are ranked once, when they are created, and kept in a heap, so
 selection costs a logarithm rather than a pass over every pending
 pair.  Stored coefficients are measured after content removal, which
 keeps the intermediate growth observable.
 
-Inside the engine a monomial is one packed int (Bachmann and
-Schoenemann's packed representation): a 16-bit field per variable
+Every step works in one representation: a polynomial is a dict from
+packed monomials to int coefficients.  A monomial is one int (Bachmann
+and Schoenemann's packed representation): a 16-bit field per variable
 holds B - e_i, with B = 32767, and the total degree sits above the
 fields, so integer order is grevlex order, the lead of a term dict is
 its max, and a product, a shift, a divisibility test or an lcm is a
-few integer operations (see _Packing).  MPoly stays the type at the
-boundary: exponents are packed on entry and unpacked into every GBasis.
+few integer operations (see _Packing).  Arithmetic is fraction-free:
+generators are primitive, the reducer scales the working polynomial by
+the cofactor of each leading coefficient instead of dividing by it, and
+the minimal-polynomial search eliminates with integer rows.  The
+reducer, the S-polynomial and the row step all subtract a multiple of
+a shifted polynomial through one helper, _sub_shifted, and content
+comes off through _strip_content.  MPoly stays the type at the
+boundary: exponents are packed on entry and unpacked into every GBasis
+and staircase.
+
 A field holds no exponent above B, so the engine holds no monomial of
 total degree above B.  Reduction never raises a term's degree above
-its lead's, so degree can grow only at packing, at an S-pair's lcm and
-at each shift of the minimal-polynomial search; each of the three
-raises LimitExceeded past B (callers report undecided) rather than let
-a field wrap.
+its lead's, so degree can grow only at packing, at an S-pair's lcm, at
+each shift of the minimal-polynomial search and at each step of the
+staircase walk; each raises LimitExceeded past B (callers report
+undecided) rather than let a field wrap.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -44,23 +49,6 @@ from .errors import (LimitExceeded, NotZeroDimensional, OrderMismatch,
 from .intpoly import IntPoly, squarefree_part
 from .polysys import MPoly, PolySystem, gen_ghat_system
 from .tables import f_table
-
-
-# -- the monomial order ----------------------------------------------------------
-
-
-def _grevlex_key(exps) -> tuple:
-    """Sort key of grevlex, the engine's one monomial order: ascending
-    keys are ascending monomials, so a leading monomial is the max."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def _lead(terms: dict) -> tuple:
-    return max(terms, key=_grevlex_key)
-
-
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 # -- packed monomials ------------------------------------------------------------
@@ -74,13 +62,13 @@ class _Packing:
     """Exponent tuples in n variables as ints whose order is grevlex.
 
     K(e) = deg(e) << W*n | sum((B - e_i) << W*i): the degree decides
-    first, then the smaller power of the last variable wins, as in
-    _grevlex_key.  With every exponent at most B the top bit of each
-    W-bit field is clear, and the arithmetic below never borrows from
-    one field into the next:
+    first, then the smaller power of the last variable wins, which is
+    grevlex.  With every exponent at most B the top bit of each W-bit
+    field is clear, and the arithmetic below never borrows from one
+    field into the next:
 
     - product: K(a*b) = K(a) + K(b) - base, when deg(a*b) <= B; a shift
-      by b/a is K(e) + (K(b) - K(a));
+      by b/a is K(e) + (K(b) - K(a)), and by x_v it is K(e) + times(v);
     - a divides b iff ((K(a) | borrow) - K(b)) & borrow == borrow, since
       the field of B - a_i + 2^(W-1) - (B - b_i) keeps its top bit
       exactly when a_i <= b_i;
@@ -116,6 +104,10 @@ class _Packing:
 
     def degree(self, key: int) -> int:
         return key >> self.top
+
+    def times(self, v: int) -> int:
+        """The shift K(x_v * e) - K(e): one more degree, one less B - e_v."""
+        return (1 << self.top) - (1 << (_W * v))
 
     def divides(self, a: int, b: int) -> bool:
         borrow = self.borrow
@@ -158,6 +150,20 @@ def _gen_triple(d: dict) -> tuple:
     """(terms, leading key, leading coeff) of a packed int dict."""
     lead = max(d)
     return d, lead, d[lead]
+
+
+def _sub_shifted(dst: dict, factor: int, src: dict, shift: int) -> None:
+    """dst -= factor * src shifted by shift, in place, dropping each key
+    that cancels.  Every elimination step of the engine goes through
+    here: the reducer's, the S-polynomial's and the minimal-polynomial
+    row step's."""
+    for e, c in src.items():
+        key = e + shift
+        val = dst.get(key, 0) - factor * c
+        if val:
+            dst[key] = val
+        else:
+            dst.pop(key, None)
 
 
 # The reducer reads the clock on its first step and then once per this
@@ -203,14 +209,7 @@ def _reduce_full(f: dict, gens: list, packing: _Packing,
                     mult *= scale
                     work = {e: scale * v for e, v in work.items()}
                     remainder = {e: scale * v for e, v in remainder.items()}
-                shift = lead - glead
-                for ge, gc in gterms.items():
-                    key = ge + shift
-                    val = work.get(key, 0) - factor * gc
-                    if val:
-                        work[key] = val
-                    else:
-                        work.pop(key, None)
+                _sub_shifted(work, factor, gterms, lead - glead)
                 break
         else:
             remainder[lead] = work.pop(lead)
@@ -229,14 +228,9 @@ def _spoly(a, b, packing: _Packing) -> dict:
     sa, sb = lcm - al, lcm - bl
     g = gcd(ac, bc)
     fa, fb = bc // g, ac // g
-    out: dict = {}
-    for e, c in at.items():
-        key = e + sa
-        out[key] = out.get(key, 0) + fa * c
-    for e, c in bt.items():
-        key = e + sb
-        out[key] = out.get(key, 0) - fb * c
-    return {e: c for e, c in out.items() if c}
+    out = {e + sa: fa * c for e, c in at.items()}
+    _sub_shifted(out, fb, bt, sb)
+    return out
 
 
 @dataclass
@@ -436,12 +430,12 @@ def is_zero_dimensional(basis: GBasis) -> bool:
         raise UncertifiedBasis("zero-dimension test needs a certified basis")
     if basis.is_unit_ideal():
         return True
-    leads = [_lead(g.terms) for g in basis.generators]
-    for v in range(basis.nvars):
-        if not any(e[v] > 0 and all(x == 0 for k, x in enumerate(e) if k != v)
-                   for e in leads):
-            return False
-    return True
+    packing = _Packing(basis.nvars)
+    leads = [lead for _, lead, _ in _basis_triples(basis, packing)]
+    # x_v^d, d > 0, is the one key of degree d at K(1) + d * times(v)
+    return all(any(key > packing.base and key - packing.base
+                   == packing.degree(key) * packing.times(v) for key in leads)
+               for v in range(basis.nvars))
 
 
 # -- elimination to the aggregate variable ---------------------------------------
@@ -449,71 +443,71 @@ def is_zero_dimensional(basis: GBasis) -> bool:
 
 def staircase(basis: GBasis, cap: int = 65536) -> list:
     """Monomials outside the leading-term ideal: a Q-vector-space basis of
-    the quotient ring when the ideal is zero-dimensional."""
+    the quotient ring when the ideal is zero-dimensional.  Raises
+    LimitExceeded past cap monomials, and before a step past total
+    degree 32767, the packed bound."""
     if not basis.certified:
         raise UncertifiedBasis("staircase needs a certified basis")
-    leads = [_lead(g.terms) for g in basis.generators]
-    nv = basis.nvars
-    seen = {(0,) * nv}
-    queue = [(0,) * nv]
+    packing = _Packing(basis.nvars)
+    leads = [lead for _, lead, _ in _basis_triples(basis, packing)]
+    divides = packing.divides
+    steps = [packing.times(v) for v in range(basis.nvars)]
+    seen = {packing.base}
+    queue = [packing.base]
     out = []
     while queue:
         mono = queue.pop()
-        if any(_divides(l, mono) for l in leads):
+        if any(divides(lead, mono) for lead in leads):
             continue
         out.append(mono)
         if len(out) > cap:
             raise LimitExceeded(f"quotient dimension exceeds {cap}",
                                 stats=dict(basis.stats))
-        for v in range(nv):
-            nxt = mono[:v] + (mono[v] + 1,) + mono[v + 1:]
+        if packing.degree(mono) >= _B:
+            raise LimitExceeded(f"staircase step to total degree "
+                                f"{packing.degree(mono) + 1} exceeds {_B}",
+                                stats=dict(basis.stats))
+        for step in steps:
+            nxt = mono + step
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return out
+    return [packing.unpack(key) for key in out]
 
 
 def _minimal_polynomial_of_var(basis: GBasis, var: int,
                                max_power: int) -> Optional[IntPoly]:
-    """Monic generator of {p in Q[y] : p(x_var) in ideal}, found as the
-    first linear dependence among normal forms of successive powers.
-    Raises LimitExceeded once a shift would pass the packed degree
-    bound."""
+    """Primitive generator of {p in Q[y] : p(x_var) in ideal}, found as
+    the first linear dependence among normal forms of successive powers.
+
+    Rows are primitive int dicts.  The row of x_var^k starts as scale
+    times the normal form of x_var^k, scale being the product of the
+    reducer's multipliers so far, plus scale at the key -1 - k; packed
+    keys are positive, so these tags sort below every monomial and record
+    the combination of powers that a row holds.  Eliminating a pivot
+    takes row[pivot] * vec - vec[pivot] * row.  Once no monomial is left
+    the tags are the relation.  Raises LimitExceeded once a shift would
+    pass the packed degree bound.
+    """
     packing = _Packing(basis.nvars)
     gens = _basis_triples(basis, packing)
-    times_var = (1 << packing.top) - (1 << (_W * var))
-    rows: dict = {}                 # pivot key -> (vec, combo)
-    # current is scale times the normal form of x_var^k, scale being the
-    # product of the reducer's multipliers so far
+    times_var = packing.times(var)
+    rows: dict = {}                 # pivot key -> row, positive there
     current, scale = _reduce_full({packing.base: 1}, gens, packing)
     for k in range(max_power + 1):
-        vec = {e: Fraction(c, scale) for e, c in current.items()}
-        combo = [Fraction(0)] * k + [Fraction(1)]
-        while vec:
-            pivot = max(vec)
-            if pivot not in rows:
-                inv = 1 / vec[pivot]
-                vec = {e: c * inv for e, c in vec.items()}
-                combo = [c * inv for c in combo]
-                rows[pivot] = (vec, combo)
+        vec = _strip_content({**current, -1 - k: scale})
+        while (pivot := max(vec)) >= 0:
+            row = rows.get(pivot)
+            if row is None:
+                rows[pivot] = vec
                 break
-            rvec, rcombo = rows[pivot]
-            factor = vec.pop(pivot)
-            for e, c in rvec.items():
-                if e == pivot:
-                    continue
-                val = vec.get(e, 0) - factor * c
-                if val:
-                    vec[e] = val
-                else:
-                    vec.pop(e, None)
-            combo = [a - factor * b for a, b in
-                     zip(combo, rcombo + [Fraction(0)] * len(combo))]
+            factor = vec[pivot]
+            vec = {e: row[pivot] * c for e, c in vec.items()}
+            _sub_shifted(vec, factor, row, 0)
+            vec = _strip_content(vec)
         else:
-            den = 1
-            for c in combo:
-                den = den * c.denominator // gcd(den, c.denominator)
-            return IntPoly([int(c * den) for c in combo]).primitive()
+            return IntPoly([vec.get(-1 - i, 0)
+                            for i in range(k + 1)]).primitive()
         deg = packing.degree(max(current)) + 1
         if deg > _B:
             raise LimitExceeded(f"minimal-polynomial shift to total degree "
@@ -593,17 +587,23 @@ def compute_f_poly(m: int, theta: int, squarefree: bool = True,
     return squarefree_part(poly) if squarefree and poly.degree > 0 else poly
 
 
-def probe_g0_zero(m: int, theta: int, seed: int = 0, **limit_kw) -> str:
+def decide_g0_zero(m: int, theta: int, seed: int = 0, **limit_kw) -> str:
     """Can the aggregate vanish?  Adds sum(ghat_t) = 0 to the twist-theta
-    system and reads the answer off the basis: the unit ideal means no
-    solution anywhere over C."""
+    system and reads the answer off the basis: "empty" for the unit
+    ideal, which means no solution anywhere over C, else "nonempty".
+    A limit raises LimitExceeded with the partial basis's stats."""
     system = gen_ghat_system(m, theta)
     nv = len(system.var_names)
     polys = list(system.polys)
     polys.append(MPoly(nv, {tuple(int(i == k) for k in range(nv)): 1
                             for i in range(nv)}))
+    basis = buchberger(polys, seed=seed, **limit_kw)
+    return "empty" if basis.is_unit_ideal() else "nonempty"
+
+
+def probe_g0_zero(m: int, theta: int, seed: int = 0, **limit_kw) -> str:
+    """decide_g0_zero, with "undecided" in place of a limit."""
     try:
-        basis = buchberger(polys, seed=seed, **limit_kw)
+        return decide_g0_zero(m, theta, seed=seed, **limit_kw)
     except LimitExceeded:
         return "undecided"
-    return "empty" if basis.is_unit_ideal() else "nonempty"

@@ -9,7 +9,7 @@ import pytest
 from sympy import mobius, totient
 
 from cyclodiff import charsums, cyclotomic
-from cyclodiff.charsums import (_class_pairs, _class_sum_counts, _decimate,
+from cyclodiff.charsums import (_class_pairs, _class_sum_counts,
                                 _gauss_slices, _quotient_slabs, _tables,
                                 _vanishes_at_powers,
                                 character, chi_eval,
@@ -190,6 +190,23 @@ def test_jacobi_row_sum_matches_literal_sum():
             assert jacobi_row_sum(chi, s).value == literal, (q, m, s)
 
 
+def test_h_class_sum_matches_literal_sum():
+    # every power s, units and non-units alike, in prime and extension
+    # fields
+    for p, e in [(13, 1), (3, 2), (2, 4), (37, 1)]:
+        field = make_field(p, e)
+        q = field.q
+        powers = [field.element(code) for code in range(1, q)]
+        for m in [d for d in range(1, q) if (q - 1) % d == 0]:
+            chi = character(field, m)
+            cls = [a for a in powers if dlog(field, a) % m == 0]
+            for s in range(-1, m + 1):
+                literal = CycInt.zero(m)
+                for alpha in cls:
+                    literal = literal + chi_eval(chi, s, field.one - alpha)
+                assert h_class_sum(chi, s).value == literal, (q, m, s)
+
+
 def test_identity_suite_requires_a_dividing_order():
     with pytest.raises(OrderDoesNotDivide):
         verify_identity_suite(make_field(7), 4)
@@ -215,6 +232,14 @@ def test_identity_suite_small_fields():
         field = make_field(p, e)
         results = verify_identity_suite(field, m)
         assert all(results.values()), (p, e, m, results)
+
+
+def _decimate(vec, s, m):
+    """out[i] = sum of vec[j] over j with s*j = i mod m: the counts of
+    the power chi^s."""
+    out = np.zeros(vec.shape, dtype=np.int64)
+    np.add.at(out, (s % m) * np.arange(m) % m, vec)
+    return out
 
 
 def test_decimated_unit_vectors_sum_to_the_orthogonality_relation():

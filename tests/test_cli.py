@@ -440,3 +440,13 @@ def test_gb_table_fixtures(capsys):
 def test_gb_probe_zero(capsys):
     assert run(["gb", "probe-zero", "--m", "4", "--theta", "1"]) == 0
     assert _json_out(capsys)["result"] == "nonempty"
+
+
+def test_gb_probe_zero_limit_exits_1_with_reason_and_stats(capsys):
+    # as gb solve: a limit is undecided, says why, and exits 1
+    assert run(["gb", "probe-zero", "--m", "6", "--theta", "0",
+                "--limits", '{"gb_max_spairs": 1}']) == 1
+    payload = _json_out(capsys)
+    assert payload["result"] == "undecided"
+    assert payload["reason"] == "S-pair budget 1 exhausted"
+    assert payload["stats"]["spairs_reduced"] == 1

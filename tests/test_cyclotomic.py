@@ -9,7 +9,6 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cyclodiff.charsums import _decimate
 from cyclodiff.config import current_limits
 from cyclodiff.cyclotomic import (ComplexInterval, CycInt, CycNum, cyc_arith,
                                   cyc_lift, cyclotomic_polynomial, embed,
@@ -248,6 +247,14 @@ def _cycints(draw, n):
 def _orders_and_triples(draw):
     n = draw(st.integers(1, 36))
     return n, draw(_cycints(n)), draw(_cycints(n)), draw(_cycints(n))
+
+
+def _decimate(vec, s, m):
+    """out[i] = sum of vec[j] over j with s*j = i mod m: the counts of
+    the power chi^s."""
+    out = np.zeros(vec.shape, dtype=np.int64)
+    np.add.at(out, (s % m) * np.arange(m) % m, vec)
+    return out
 
 
 @PROPERTIES

@@ -9,13 +9,22 @@ from cyclodiff import groebner
 from cyclodiff.errors import (CyclodiffError, LimitExceeded,
                               NotZeroDimensional, OrderMismatch,
                               UncertifiedBasis)
-from cyclodiff.groebner import (_B, GBasis, _divides, _grevlex_key,
-                                _Packing, buchberger, certify,
+from cyclodiff.groebner import (_B, GBasis, _Packing, buchberger, certify,
                                 compute_f_poly, eliminate_to_univariate,
                                 f_table, is_zero_dimensional, normal_form,
                                 probe_g0_zero, staircase)
 from cyclodiff.intpoly import IntPoly
 from cyclodiff.polysys import MPoly, gen_ghat_system
+
+
+def _grevlex_key(exps) -> tuple:
+    """Sort key of grevlex on exponent tuples, the definition the packed
+    order is checked against: ascending keys are ascending monomials."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
 def _to_sympy(q, syms):
@@ -287,6 +296,47 @@ def test_staircase_of_box_ideal():
     assert sorted(cells) == [(a, b) for a in range(2) for b in range(3)]
     with pytest.raises(LimitExceeded):
         staircase(basis, cap=3)
+
+
+def _tuple_staircase(basis):
+    """The staircase walk on exponent tuples: the same depth-first order
+    as staircase, with no packing and no degree bound."""
+    leads = [max(g.terms, key=_grevlex_key) for g in basis.generators]
+    start = (0,) * basis.nvars
+    seen, queue, out = {start}, [start], []
+    while queue:
+        mono = queue.pop()
+        if any(_divides(lead, mono) for lead in leads):
+            continue
+        out.append(mono)
+        for v in range(basis.nvars):
+            nxt = mono[:v] + (mono[v] + 1,) + mono[v + 1:]
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return out
+
+
+def test_staircase_walks_in_the_tuple_order():
+    # the packed walk returns the same monomials in the same order
+    box = [MPoly(3, {(2, 0, 0): 1, (0, 0, 0): -1}),
+           MPoly(3, {(0, 3, 0): 1, (1, 0, 0): -1}),
+           MPoly(3, {(0, 0, 2): 1, (0, 1, 1): 1})]
+    for gens in (box, CYCLIC3, gen_ghat_system(6, 1).polys):
+        basis = buchberger(gens)
+        assert is_zero_dimensional(basis)
+        assert staircase(basis) == _tuple_staircase(basis)
+
+
+def test_staircase_stops_at_the_degree_bound():
+    # xy - 1 leaves every pure power outside its lead ideal; the walk
+    # climbs one of them and must stop before a field wraps, well inside
+    # the default cap
+    basis = buchberger([MPoly(2, {(1, 1): 1, (0, 0): -1})])
+    assert not is_zero_dimensional(basis)
+    with pytest.raises(LimitExceeded, match="staircase step to total "
+                                            "degree 32768 exceeds 32767"):
+        staircase(basis)
 
 
 # -- elimination --------------------------------------------------------------------

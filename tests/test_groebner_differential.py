@@ -1,8 +1,8 @@
 """The Buchberger engine against sympy on small random ideals.
 
 Every ideal comes from one fixed random.Random seed, so the run is
-deterministic.  sympy's grevlex order is the oracle for the engine's
-sort key; sympy's groebner, reduced and is_groebner, all in grevlex,
+deterministic.  sympy's grevlex order is the oracle for the tuple
+grevlex key and the engine's packed keys; sympy's groebner, reduced and is_groebner, all in grevlex,
 are the slow oracles for buchberger, the fraction-free reducer,
 normal_form and certify; and the univariate element of sympy's lex
 basis is the oracle for eliminate_to_univariate.
@@ -18,11 +18,17 @@ from sympy.polys.groebnertools import is_groebner
 from sympy.polys.orderings import grevlex
 
 from cyclodiff.errors import NotZeroDimensional
-from cyclodiff.groebner import (GBasis, _basis_triples, _grevlex_key,
-                                _Packing, _reduce_full, buchberger, certify,
+from cyclodiff.groebner import (GBasis, _basis_triples, _Packing,
+                                _reduce_full, buchberger, certify,
                                 eliminate_to_univariate, normal_form)
 from cyclodiff.intpoly import IntPoly
 from cyclodiff.polysys import MPoly, PolySystem
+
+
+def _grevlex_key(exps) -> tuple:
+    """Sort key of grevlex on exponent tuples: ascending keys are
+    ascending monomials."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def _random_poly(rng, nv, terms, max_deg=3):
@@ -95,6 +101,9 @@ def test_grevlex_key_matches_sympy():
         ka, kb = _grevlex_key(a), _grevlex_key(b)
         sa, sb = grevlex(a), grevlex(b)
         assert ((ka > kb) - (ka < kb)) == ((sa > sb) - (sa < sb)), (a, b)
+        # and the engine's packed keys, directly
+        pa, pb = _Packing(nv).pack(a), _Packing(nv).pack(b)
+        assert ((pa > pb) - (pa < pb)) == ((sa > sb) - (sa < sb)), (a, b)
 
 
 def test_reduced_bases_match_sympy():

@@ -13,3 +13,20 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_basis_engine_keeps_one_representation():
+    # groebner works on packed int monomials with int coefficients only:
+    # no Fraction, and no helper ordering or dividing exponent tuples
+    path = Path(cyclodiff.__file__).parent / "groebner.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert "fractions" not in imported
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_grevlex_key", "_lead", "_divides"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "Fraction" not in names
