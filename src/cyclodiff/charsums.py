@@ -20,13 +20,14 @@ values reduce modulo a composite Phi_n.  Every histogram over pairs of
 field elements is counted by _pair_counts, a block of rows at a time,
 each caller with its own literal key.  The products
 G(chi^s) G(chi^t) expand into the (m, m, p) pair tensor of traces by
-class, which is never built: _class_pair_sums counts one (m, p) slab of it
-from the dlog-ordered trace grid, _class_grid.  The gauss route of
-diffsets reads one such slab and the per-class trace histogram (through
-_gauss_slices); the tensor's marginals follow from the histogram.  The
-quotient identity compares the tensor with its Jacobi expansion one class
-slab at a time.  The direct route of diffsets counts differences with its
-own counter and shares nothing.
+class, which is never built; its users count (m, p) slabs of it from the
+dlog-ordered trace grid, _class_grid.  The gauss route of diffsets reads
+the diagonal slab T[j - dlog(-1), j] and the per-class trace histogram
+(through _gauss_slices), counted once per (field, m) and, where the
+symmetry of T allows, over half the diagonal; the tensor's marginals
+follow from the histogram.  The quotient identity compares the tensor
+with its Jacobi expansion one class slab at a time.  The direct route of
+diffsets counts differences with its own counter and shares nothing.
 """
 
 from __future__ import annotations
@@ -228,19 +229,8 @@ def _require_tensor_budget(m: int, p: int) -> None:
 
 def _class_grid(field: FiniteField, m: int) -> np.ndarray:
     """grid[i, k] = tr(g^(i + m k)): row i holds the traces of class i, in
-    dlog order, copied so that the counts gather contiguous rows."""
+    dlog order, copied so that the counts read contiguous rows."""
     return _tables(field).trace_all[field.exp_table].reshape(-1, m).T.copy()
-
-
-def _class_pair_sums(grid: np.ndarray, left: np.ndarray, p: int) -> np.ndarray:
-    """out[j, w] = #{alpha in class left[j], beta in class j :
-    tr alpha + tr beta = w}, one (m, p) slab over (q - 1)^2 / m pairs."""
-    m, f = grid.shape
-    lhs = grid[left].ravel()
-    row_cls = np.repeat(np.arange(m), f)
-    return _pair_counts(m * f, f, m * p, lambda r: (
-        (lhs[r, None] + grid[row_cls[r]]) % p
-        + row_cls[r, None] * p)).reshape(m, p)
 
 
 def _gauss_slices(field: FiniteField, m: int):
@@ -249,36 +239,81 @@ def _gauss_slices(field: FiniteField, m: int):
     counted in O(m p + block) memory:
 
     a[i, w]  = #{alpha != 0 : dlog alpha = i mod m, tr alpha = w};
-    m1[j]    = T[j - dlog(-1), j], one _class_pair_sums slab.
+    m1[j]    = T[j - dlog(-1), j], the diagonal slab.
 
     The marginals of T need no count: they are (q/p) f - a (see
     diffsets.check_gauss).  Raises BoundExceeded where
-    verify_jacobi_quotient does, so both skip the same instances.
+    verify_jacobi_quotient does, so both skip the same instances; the
+    budget is checked on every call, before the cache of _gauss_counts is
+    read, so a lowered budget raises even for a (field, m) counted before.
+    Both arrays are shared by every caller and read-only.
     """
-    p = field.p
-    _require_tensor_budget(m, p)
+    _require_tensor_budget(m, field.p)
+    return _gauss_counts(field, m)
+
+
+# At most 4 entries of two m p int64 arrays: 22.4 MB at the route's caps of
+# m <= 64 and (q - 1)^2 <= 3e7 (p <= 5478), a few kB in practice.  The plain
+# and the modified check of one (field, m) read one entry.
+@functools.lru_cache(maxsize=4)
+def _gauss_counts(field: FiniteField, m: int):
+    """(a, m1) of _gauss_slices, counted once per (field, m).
+
+    m1 is counted over half the diagonal when it can be.  With
+    L = dlog(-1), 2 L = 0 mod m (2 L = q - 1 for odd q, L = 0 for even q),
+    and T is symmetric in its class axes, so
+    m1[j - L] = T[j - 2 L, j - L] = T[j, j - L] = m1[j].
+    When L != 0 mod m, that is m even and f = (q - 1)/m odd, L = m/2 mod m:
+    the rows j < m/2 are counted and tiled.  Otherwise all m rows are.
+    """
+    p, f = field.p, (field.q - 1) // m
     t = _tables(field)
     a = np.bincount(t.dlog % m * p + t.trace, minlength=m * p).reshape(m, p)
-    m1 = _class_pair_sums(_class_grid(field, m),
-                          (np.arange(m) - t.dlog_neg_one) % m, p)
+    grid = _class_grid(field, m)
+    lhs = np.roll(grid, t.dlog_neg_one, axis=0)  # lhs[j] = grid[j - L]
+    rows = m // 2 if t.dlog_neg_one % m else m
+    # classes per _pair_counts call: about one block of pairs, and at most
+    # max(1, m // 2) of 2 p bins each, so no histogram passes max(m, 2) p
+    # bins; past one block per class, _pair_counts splits a class's rows
+    per = min(max(1, m // 2), max(1, _PAIR_BLOCK // (f * f)))
+    parts = []
+    for j0 in range(0, rows, per):
+        cls = slice(j0, min(j0 + per, rows))
+        left = lhs[cls]
+        # class j - j0 keys its trace sums from 2 p (j - j0): each sum
+        # tr alpha + tr beta lies in [0, 2 p - 2], so no modulo is taken
+        right = grid[cls] + 2 * p * np.arange(len(left))[:, None]
+        h = _pair_counts(f, len(left) * f, 2 * p * len(left), lambda r: (
+            left[:, r, None] + right[:, None, :])).reshape(-1, 2, p)
+        # fold: a sum w + p reduces to w mod p, so bins w and w + p merge
+        parts.append(h[:, 0] + h[:, 1])
+    m1 = np.concatenate(parts)
+    if rows < m:
+        m1 = np.tile(m1, (2, 1))
+    a.flags.writeable = m1.flags.writeable = False
     return a, m1
 
 
 def _quotient_slabs(field: FiniteField, m: int):
     """(U[i], V[i]) for each class i, two (m, p) slabs of the quotient
     identity's tensors.  U[i] = T[i] pairs alpha in class i with every
-    nonzero beta; V[i] pairs each a outside {0, 1} with the gamma in class
-    i - cls(a), keyed by cls((1 - a) gamma) and tr gamma, plus the f pairs
-    beta = -alpha at (i + dlog(-1), 0).  Raises BoundExceeded first."""
+    nonzero beta, keyed by the class of beta and tr alpha + tr beta; V[i]
+    pairs each a outside {0, 1} with the gamma in class i - cls(a), keyed
+    by cls((1 - a) gamma) and tr gamma, plus the f pairs beta = -alpha at
+    (i + dlog(-1), 0).  Raises BoundExceeded first."""
     p = field.p
     _require_tensor_budget(m, p)
     t = _tables(field)
     f = (field.q - 1) // m
     grid = _class_grid(field, m)
+    every = grid.ravel()  # every nonzero beta, class by class
+    beta_cls = np.repeat(np.arange(m) * p, f)
     a_cls, om_cls = _class_pairs(field, m)
     shift = om_cls - a_cls  # cls((1 - a) gamma) - cls(a gamma)
     for i in range(m):
-        u = _class_pair_sums(grid, np.full(m, i), p)
+        alpha = grid[i]
+        u = _pair_counts(f, m * f, m * p, lambda r: (
+            (alpha[r, None] + every) % p + beta_cls)).reshape(m, p)
         v = _pair_counts(len(a_cls), f, m * p, lambda r: (
             (shift[r, None] + i) % m * p
             + grid[(i - a_cls[r]) % m])).reshape(m, p)

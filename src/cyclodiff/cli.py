@@ -192,6 +192,9 @@ def _cmd_ds_scan(args) -> int:
     elif args.m_min is not None or args.m_max is not None:
         lo = args.m_min if args.m_min is not None else 1
         hi = args.m_max if args.m_max is not None else args.q_max - 1
+        if lo > hi:
+            # an empty range would read as a clean scan with no hits
+            raise CyclodiffError(f"no order to scan: m from {lo} to {hi}")
         m_range = range(lo, hi + 1)
     elif args.odd or args.even:
         m_range = range(1, args.q_max)

@@ -5,8 +5,9 @@ H with zero appended.  Four routes decide whether such a class is a
 difference set: literal difference counting, class sums, Jacobi row
 sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
 count from the same class pairs (charsums._class_pairs), and the Gauss
-route counts one class slab of the trace pair tensor and the per-class
-trace histogram from the dlog and trace tables (charsums._gauss_slices).
+route counts the diagonal slab of the trace pair tensor and the per-class
+trace histogram from the dlog and trace tables, once per (field, m)
+(charsums._gauss_slices).
 All three test every nontrivial power at once with
 charsums._vanishes_at_powers: by
 Fourier inversion over Z/m their counts vanish at every such power
@@ -203,8 +204,10 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
     relation reads only its slice T[j - dlog(-1), j], its two marginals
     and the per-class trace histogram a.  The marginals follow from a and
     drop out of the constancy test (see below), so charsums._gauss_slices
-    counts only a and the slice, as one class slab over (q - 1)^2 / m
-    pairs.  Raises BoundExceeded past gauss_check_m_max, the (q - 1)^2
+    counts only a and the slice, over at most (q - 1)^2 / m pairs, and half
+    that when m is even and f odd, the case of every feasible even m.  The
+    plain and the modified check of one (field, m) share that one count.
+    Raises BoundExceeded past gauss_check_m_max, the (q - 1)^2
     pair budget or the m m p slab budget that the Jacobi quotient identity
     also obeys, so the skipped instances do not depend on how the slices
     are counted.

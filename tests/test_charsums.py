@@ -387,12 +387,34 @@ def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch):
                     (q, m, block)
 
 
+def _recorded_pair_counts(monkeypatch):
+    """Patch _pair_counts to record, per call, its rows x cols pairs and
+    every row slice its keys are asked for; the list is returned."""
+    calls = []
+    counted = charsums._pair_counts
+
+    def recording(rows, cols, size, keys):
+        slices = []
+        calls.append((rows * cols, slices))
+
+        def logged(r):
+            slices.append(r)
+            return keys(r)
+        return counted(rows, cols, size, logged)
+
+    monkeypatch.setattr(charsums, "_pair_counts", recording)
+    return calls
+
+
 def test_gauss_slices_match_the_pair_tensor(monkeypatch):
     # the slices the gauss route reads, against the full tensor: the
     # diagonal T[j - dlog(-1), j]; a, the per-class trace histogram,
     # against a literal count; and both marginals (T is symmetric) against
-    # (q/p) f - a, the form check_gauss folds them into
+    # (q/p) f - a, the form check_gauss folds them into.  The slices are
+    # cached per (field, m), so the cache is cleared for each block size,
+    # and a block of 1 must split the rows of one class into sub-blocks
     blocks = (charsums._PAIR_BLOCK, 1)
+    split = []
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
         q, t = field.q, _tables(field)
@@ -403,13 +425,76 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch):
             for block in blocks:
                 monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
                 tensor = _pair_tensor(field, m)
-                a, m1 = _gauss_slices(field, m)
+                charsums._gauss_counts.cache_clear()
+                with monkeypatch.context() as mp:
+                    calls = _recorded_pair_counts(mp)
+                    a, m1 = _gauss_slices(field, m)
+                assert calls, (q, m, block)
+                if block == 1:
+                    split += [(q, m) for _, sl in calls if len(sl) > 1]
                 assert np.array_equal(a, want_a), (q, m, block)
                 assert np.array_equal(
                     m1, tensor[(j - t.dlog_neg_one) % m, j]), (q, m, block)
                 marginal = (q // p) * a.sum(axis=1, keepdims=True) - a
                 assert np.array_equal(tensor.sum(axis=0), marginal), (q, m)
                 assert np.array_equal(tensor.sum(axis=1), marginal), (q, m)
+    assert (13, 2) in split and (169, 2) in split, split
+
+
+def test_plain_and_modified_gauss_checks_share_one_count(monkeypatch):
+    # both classes are feasible at m = 2 on these fields; the modified
+    # check reads the slices the plain check counted
+    for q in (31, 47):
+        field = make_field(q)
+        charsums._gauss_counts.cache_clear()
+        with monkeypatch.context() as mp:
+            calls = _recorded_pair_counts(mp)
+            assert check_gauss(field, 2, False) == VERDICT_DS
+            counted = len(calls)
+            for modified in (False, True):
+                direct = check_direct(field,
+                                      cyclotomic_class(field, 2, modified))
+                assert check_gauss(field, 2, modified) == direct.verdict, q
+        assert counted > 0 and len(calls) == counted, (q, counted, calls)
+
+
+def test_cached_gauss_slices_are_read_only():
+    field = make_field(31)
+    for m in (2, 3, 5):
+        a, m1 = _gauss_slices(field, m)
+        assert _gauss_slices(field, m)[1] is m1
+        for arr in (a, m1):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
+            with pytest.raises(ValueError):
+                arr += 1
+        assert np.array_equal(m1, _gauss_slices(field, m)[1])
+
+
+def test_gauss_diagonal_is_half_counted_where_symmetric(monkeypatch):
+    # m1[j] = T[j - L, j] with L = dlog(-1) on every field and order; where
+    # L != 0 mod m (m even, f odd) only half of the diagonal's pairs are
+    # counted, and both that case and L = 0 (even q, odd m) occur here
+    cases = set()
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        q, t = field.q, _tables(field)
+        for m in _orders(q):
+            L = t.dlog_neg_one
+            half = L % m != 0
+            assert half == (m % 2 == 0 and (q - 1) // m % 2 == 1), (q, m)
+            cases.add("half" if half else "L = 0" if L == 0 else "whole")
+            j = np.arange(m)
+            charsums._gauss_counts.cache_clear()
+            with monkeypatch.context() as mp:
+                calls = _recorded_pair_counts(mp)
+                _, m1 = _gauss_slices(field, m)
+            assert np.array_equal(
+                m1, _pair_tensor(field, m)[(j - L) % m, j]), (q, m)
+            slab = (q - 1) ** 2 // m
+            pairs = sum(n for n, _ in calls)
+            assert pairs == (slab // 2 if half else slab), (q, m, pairs)
+    assert cases == {"half", "L = 0", "whole"}, cases
 
 
 def test_no_pair_count_is_larger_than_one_class_slab(monkeypatch):

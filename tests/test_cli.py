@@ -201,6 +201,19 @@ def test_ds_scan_order_bounds_are_ranges(capsys):
     assert _json_out(capsys)["rows"] == []
 
 
+def test_ds_scan_rejects_an_empty_order_range(capsys):
+    # an empty range would print "instances": 0 and pass as a clean scan
+    for bounds in (["--m-min", "5", "--m-max", "2"], ["--m-max", "0"],
+                   ["--m-min", "50"]):
+        assert run(["ds", "scan", *bounds, "--q-max", "50"]) == 1, bounds
+        out = capsys.readouterr()
+        assert out.out == "", bounds
+        assert "no order to scan" in out.err, bounds
+    assert run(["ds", "scan", "--m-min", "2", "--m-max", "2",
+                "--q-max", "50"]) == 0
+    assert _json_out(capsys)["instances"] > 0
+
+
 def test_ds_scan_rejects_fewer_than_one_worker(capsys):
     for workers in ("0", "-3"):
         assert run(["ds", "scan", "--m", "2", "--q-max", "30",
