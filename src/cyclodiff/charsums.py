@@ -8,9 +8,13 @@ root-of-unity exponent counts, and the difference is tested for zero
 exactly.  A passing verdict is therefore a statement about integers, not
 floats.
 
-Every class-sum and Jacobi-row count is a slice of the cyclotomic numbers
-(i, j)_m, counted in one place, _class_pairs.  Every condition on all
-nontrivial powers chi^s is one base count vector and one exact
+The count layer enumerates the nonzero elements one way only, as
+alpha = g^k for k = 0..q-2, so the class of alpha is k mod m and no
+table is kept in code order (_tables): the traces tr(g^k), the Zech
+logarithms dlog(1 - g^k) and dlog(-1).  Every class-sum and Jacobi-row
+count is a histogram of the cyclotomic numbers (i, j)_m, read from the
+pairs (k mod m, dlog(1 - g^k) mod m) of _class_pairs.  Every condition
+on all nontrivial powers chi^s is one base count vector and one exact
 comparison, _vanishes_at_powers: by Fourier inversion over Z/m the sum
 vanishes at every nontrivial power exactly when the counts are constant,
 so no power is decimated and nothing is reduced in Z[zeta_m].  The routes
@@ -21,13 +25,14 @@ field elements is counted by _pair_counts, a block of rows at a time,
 each caller with its own literal key.  The products
 G(chi^s) G(chi^t) expand into the (m, m, p) pair tensor of traces by
 class, which is never built; its users count (m, p) slabs of it from the
-dlog-ordered trace grid, _class_grid.  The gauss route of diffsets reads
-the diagonal slab T[j - dlog(-1), j] and the per-class trace histogram
-(through _gauss_slices), counted once per (field, m) and, where the
-symmetry of T allows, over half the diagonal; the tensor's marginals
-follow from the histogram.  The quotient identity compares the tensor
-with its Jacobi expansion one class slab at a time.  The direct route of
-diffsets counts differences with its own counter and shares nothing.
+trace grid, _class_grid, a reshape of tr(g^k) whose row i holds class i.
+The gauss route of diffsets reads the diagonal slab T[j - dlog(-1), j]
+and the per-class trace histogram (through _gauss_slices), counted once
+per (field, m) and, where the symmetry of T allows, over half the
+diagonal; the tensor's marginals follow from the histogram.  The
+quotient identity compares the tensor with its Jacobi expansion one
+class slab at a time.  The direct route of diffsets counts differences
+with its own counter and shares nothing.
 """
 
 from __future__ import annotations
@@ -152,44 +157,45 @@ def _vanishes_at_powers(base: np.ndarray, m: int, p: int = 0) -> bool:
 
 @functools.lru_cache(maxsize=8)
 def _tables(field: FiniteField) -> SimpleNamespace:
-    """Dlog and trace arrays over the q-1 nonzero codes, and the dlogs of
-    alpha and 1 - alpha over the q-2 codes alpha outside {0, 1}."""
-    q = field.q
-    codes = np.arange(1, q, dtype=np.int64)
-    dlog = field.log_table[1:q].astype(np.int64)
-    trace_all = field.codes_trace(np.arange(q, dtype=np.int64))
-    one_minus = field.codes_sub(np.ones_like(codes), codes)
-    inner = one_minus != 0
-    neg_one = int(field.codes_sub(np.zeros(1, dtype=np.int64),
-                                  np.ones(1, dtype=np.int64))[0])
+    """The count layer's one enumeration of the nonzero elements,
+    alpha = g^k for k = 0..q-2, so that the class of alpha is k mod m:
+
+    trace[k]      = tr(g^k), for k = 0..q-2;
+    zech[k - 1]   = dlog(1 - g^k), the Zech logarithm, for k = 1..q-2
+                    (1 - g^0 = 0 has none);
+    dlog_neg_one  = dlog(-1).
+
+    Both arrays are read-only, as every caller shares them.
+    """
+    exp = field.exp_table
+    trace = field.codes_trace(exp)
+    zech = field.log_table[field.codes_sub(np.ones_like(exp[1:]), exp[1:])]
+    trace.flags.writeable = zech.flags.writeable = False
     return SimpleNamespace(
-        codes=codes,
-        dlog=dlog,
-        trace=trace_all[1:q],
-        trace_all=trace_all,
-        pair_dlog=dlog[inner],
-        pair_dlog_om=field.log_table[one_minus[inner]].astype(np.int64),
-        dlog_neg_one=int(field.log_table[neg_one]),
-    )
+        trace=trace, zech=zech,
+        dlog_neg_one=int(field.log_table[field.neg(field.one).code]))
 
 
 def _class_pairs(field: FiniteField, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(dlog(alpha) mod m, dlog(1 - alpha) mod m) for each alpha outside {0, 1}.
+    """(k mod m, dlog(1 - g^k) mod m) for k = 1..q-2: the classes of each
+    alpha = g^k outside {0, 1} and of 1 - alpha.
 
     The number of alphas at the pair (i, j) is the cyclotomic number
-    (i, j)_m.  The pairs take O(q) memory whatever m is, and the count
+    (i, j)_m, so every class-sum, Jacobi and row-sum count is a histogram
+    of these pairs.  They take O(q) memory whatever m is, and the count
     vectors below never build the (m, m) matrix of those numbers,
     because m can be as large as q - 1.
     """
-    t = _tables(field)
-    return t.pair_dlog % m, t.pair_dlog_om % m
+    zech = _tables(field).zech
+    return np.arange(1, len(zech) + 1) % m, zech % m
 
 
 def _class_sum_counts(field: FiniteField, m: int, s: int = 1) -> np.ndarray:
-    """Exponent counts of S_s without its alpha = 1 term: the alphas in
-    class 0 counted at s dlog(1 - alpha) mod m."""
-    a, b = _class_pairs(field, m)
-    return np.bincount(s % m * b[a == 0] % m, minlength=m)
+    """Exponent counts of S_s without its alpha = 1 term: the alphas
+    g^m, g^(2m), ... of class 0, every m-th entry of the Zech logarithms,
+    counted at s dlog(1 - alpha) mod m."""
+    b = _tables(field).zech[m - 1::m] % m
+    return np.bincount(s % m * b % m, minlength=m)
 
 
 def _row_sum_counts(field: FiniteField, m: int, s: int = 1) -> np.ndarray:
@@ -228,9 +234,9 @@ def _require_tensor_budget(m: int, p: int) -> None:
 
 
 def _class_grid(field: FiniteField, m: int) -> np.ndarray:
-    """grid[i, k] = tr(g^(i + m k)): row i holds the traces of class i, in
-    dlog order, copied so that the counts read contiguous rows."""
-    return _tables(field).trace_all[field.exp_table].reshape(-1, m).T.copy()
+    """grid[i, c] = tr(g^(i + m c)): row i holds the traces of class i,
+    copied so that the counts read contiguous rows."""
+    return _tables(field).trace.reshape(-1, m).T.copy()
 
 
 def _gauss_slices(field: FiniteField, m: int):
@@ -268,7 +274,8 @@ def _gauss_counts(field: FiniteField, m: int):
     """
     p, f = field.p, (field.q - 1) // m
     t = _tables(field)
-    a = np.bincount(t.dlog % m * p + t.trace, minlength=m * p).reshape(m, p)
+    a = np.bincount(np.arange(field.q - 1) % m * p + t.trace,
+                    minlength=m * p).reshape(m, p)
     grid = _class_grid(field, m)
     lhs = np.roll(grid, t.dlog_neg_one, axis=0)  # lhs[j] = grid[j - L]
     rows = m // 2 if t.dlog_neg_one % m else m
@@ -332,8 +339,8 @@ def gauss_sum(chi: Character, s: int = 1) -> CharSumValue:
     if n > limit:
         raise BoundExceeded(
             f"ambient cyclotomic order lcm({m},{p})={n} exceeds {limit}")
-    t = _tables(field)
-    exps = ((s * t.dlog % m) * (n // m) + t.trace * (n // p)) % n
+    k = np.arange(field.q - 1)
+    exps = ((s * k % m) * (n // m) + _tables(field).trace * (n // p)) % n
     vec = np.bincount(exps, minlength=n)
     if s % m == 0:
         vec[0] += 1  # alpha = 0 contributes chi^s(0) = 1 for trivial powers
@@ -378,14 +385,16 @@ def verify_gauss_conjugate_norm(field: FiniteField, m: int) -> bool:
     nontrivial power s, and the trivial-power Gauss sum vanishes."""
     _require_order(field, m)
     q, p = field.q, field.p
-    t = _tables(field)
-    # trivial power: over the prime p, the sum of zeta_p^tr(alpha) vanishes
-    # exactly when the trace counts are constant
-    if not _vanishes_at_powers(np.bincount(t.trace_all, minlength=p), p):
+    k, w = np.arange(q - 1), _tables(field).trace
+    # trivial power: over the prime p, the sum of zeta_p^tr(alpha) over
+    # the whole field, alpha = 0 at tr 0 included, vanishes exactly when
+    # the trace counts are constant
+    counts = np.bincount(w, minlength=p)
+    counts[0] += 1
+    if not _vanishes_at_powers(counts, p):
         return False
     base = _pair_counts(q - 1, q - 1, m * p, lambda r: (
-        (t.dlog[r, None] - t.dlog[None, :]) % m * p
-        + (t.trace[r, None] - t.trace[None, :]) % p)).reshape(m, p)
+        (k[r, None] - k) % m * p + (w[r, None] - w) % p)).reshape(m, p)
     base[0, 0] -= q
     return _vanishes_at_powers(base, m, p)
 
@@ -395,9 +404,9 @@ def verify_gauss_opposite_product(field: FiniteField, m: int) -> bool:
     _require_order(field, m)
     q, p = field.q, field.p
     t = _tables(field)
+    k, w = np.arange(q - 1), t.trace
     base = _pair_counts(q - 1, q - 1, m * p, lambda r: (
-        (t.dlog[r, None] - t.dlog[None, :]) % m * p
-        + (t.trace[r, None] + t.trace[None, :]) % p)).reshape(m, p)
+        (k[r, None] - k) % m * p + (w[r, None] + w) % p)).reshape(m, p)
     base[t.dlog_neg_one % m, 0] -= q
     return _vanishes_at_powers(base, m, p)
 
@@ -454,41 +463,40 @@ def verify_row_sums(field: FiniteField, m: int) -> bool:
 
 def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     """The two counting facts behind the class sums, exhaustively in gamma,
-    read from the literal difference histograms.
+    read from the literal difference histograms at gamma = g^k, k = 0..q-2.
 
     (i) ordered pairs of m-th powers at difference gamma are counted by
-    the class of gamma alone, via (beta, delta) -> delta/beta;
-    (ii) appending 0 to the class adds indicator corrections for gamma
-    and -gamma.  (That the character-averaged class sums recover m times
-    the pair count plus one holds for any counts, by orthogonality, so it
-    needs no check.)
+    the class of gamma alone, via (beta, delta) -> delta/beta, so the
+    counts are the class sums without their alpha = 1 term, tiled f
+    times;
+    (ii) appending 0 to the class adds the indicators of gamma and of
+    -gamma = g^(k + dlog(-1)) lying in it.  (That the character-averaged
+    class sums recover m times the pair count plus one holds for any
+    counts, by orthogonality, so it needs no check.)
     """
     _require_order(field, m)
-    q = field.q
-    t = _tables(field)
-    h_codes = t.codes[t.dlog % m == 0]  # the nonzero m-th powers
-    b = field.codes_difference_counts(h_codes)
-    # a by class of gamma: alpha in H, alpha != 1, with 1-alpha in gamma H
-    a_cls = _class_sum_counts(field, m)
-    if not np.array_equal(b[1:], a_cls[t.dlog % m]):
+    exp = field.exp_table
+    f = (field.q - 1) // m
+    h_codes = exp[::m]  # the nonzero m-th powers
+    b = field.codes_difference_counts(h_codes)[exp]
+    # by class of gamma: alpha in H, alpha != 1, with 1 - alpha in gamma H
+    if not np.array_equal(b, np.tile(_class_sum_counts(field, m), f)):
         return False
     # modified class: differences over (H u {0})^2
-    c = field.codes_difference_counts(np.concatenate(([0], h_codes)))
-    in_h = np.zeros(q, dtype=np.int64)
-    in_h[h_codes] = 1
-    neg = field.codes_sub(np.zeros(q - 1, dtype=np.int64), t.codes)
-    expected = b[1:] + in_h[t.codes] + in_h[neg]
-    return bool(np.array_equal(c[1:], expected))
+    c = field.codes_difference_counts(np.concatenate(([0], h_codes)))[exp]
+    k = np.arange(field.q - 1)
+    expected = (b + (k % m == 0)
+                + ((k + _tables(field).dlog_neg_one) % m == 0))
+    return bool(np.array_equal(c, expected))
 
 
 def verify_class_difference_sums(field: FiniteField, m: int) -> bool:
     """Sum of chi^s(beta-gamma) over pairs from the power class is f S_s."""
     _require_order(field, m)
-    t = _tables(field)
+    exp = field.exp_table
     f = (field.q - 1) // m
-    counts = field.codes_difference_counts(t.codes[t.dlog % m == 0])
-    w = np.zeros(m, dtype=np.int64)
-    np.add.at(w, t.dlog % m, counts[1:])  # nonzero differences by class
+    counts = field.codes_difference_counts(exp[::m])[exp]
+    w = counts.reshape(f, m).sum(axis=0)  # nonzero differences by class
     # the beta = gamma diagonal and f times the alpha = 1 term of S_s are
     # both f when the power is trivial and 0 otherwise, so they cancel;
     # decimating by s = 0 leaves only the total, at exponent 0

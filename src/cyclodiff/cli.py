@@ -187,22 +187,23 @@ def _cmd_ds_check(args) -> int:
 
 def _cmd_ds_scan(args) -> int:
     # ranges, never lists, so a bound like --m-max 10**15 costs nothing
+    m_range = None
     if args.m is not None:
         m_range = range(args.m, args.m + 1)
-    elif args.m_min is not None or args.m_max is not None:
+    elif (args.m_min is not None or args.m_max is not None or args.odd
+          or args.even):
         lo = args.m_min if args.m_min is not None else 1
         hi = args.m_max if args.m_max is not None else args.q_max - 1
-        if lo > hi:
-            # an empty range would read as a clean scan with no hits
-            raise CyclodiffError(f"no order to scan: m from {lo} to {hi}")
         m_range = range(lo, hi + 1)
-    elif args.odd or args.even:
-        m_range = range(1, args.q_max)
-    else:
-        m_range = None
-    if m_range is not None and (args.odd or args.even):
-        start = m_range.start + (m_range.start % 2 != args.odd)
-        m_range = range(start, m_range.stop, 2)
+    if m_range is not None:
+        lo, hi = m_range.start, m_range.stop - 1
+        if args.odd or args.even:
+            m_range = range(lo + (lo % 2 != args.odd), hi + 1, 2)
+        if not m_range:
+            # an empty range would read as a clean scan with no hits
+            parity = "odd " if args.odd else "even " if args.even else ""
+            raise CyclodiffError(
+                f"no order to scan: no {parity}m from {lo} to {hi}")
     table = scan(m_range, args.q_max, modified_mode=args.modified_mode,
                  full_methods=args.full_methods, workers=args.workers)
     unexplained = table.unexplained()

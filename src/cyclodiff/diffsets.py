@@ -6,7 +6,7 @@ difference set: literal difference counting, class sums, Jacobi row
 sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
 count from the same class pairs (charsums._class_pairs), and the Gauss
 route counts the diagonal slab of the trace pair tensor and the per-class
-trace histogram from the dlog and trace tables, once per (field, m)
+trace histogram from the traces tr(g^k), once per (field, m)
 (charsums._gauss_slices).
 All three test every nontrivial power at once with
 charsums._vanishes_at_powers: by

@@ -48,7 +48,6 @@ from .errors import (LimitExceeded, NotZeroDimensional, OrderMismatch,
                      UncertifiedBasis)
 from .intpoly import IntPoly, squarefree_part
 from .polysys import MPoly, PolySystem, gen_ghat_system
-from .tables import f_table
 
 
 # -- packed monomials ------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from cyclodiff.diffsets import (VERDICT_DS, check_charsum, check_direct,
                                check_gauss, check_jacobi, cyclotomic_class,
                                run_all_checkers)
 from cyclodiff.errors import BoundExceeded, OddOrder, OrderDoesNotDivide
-from cyclodiff.ff import dlog, is_prime, make_field
+from cyclodiff.ff import dlog, is_prime, make_field, trace
 
 # prime, extension and characteristic-2 fields for the differential tests
 SWEEP_FIELDS = [(13, 1), (3, 2), (2, 4), (31, 1), (13, 2)]
@@ -37,16 +38,43 @@ def _orders(q, low=1):
     return [d for d in range(low, q) if (q - 1) % d == 0]
 
 
+def _code_order(field):
+    """The oracles' data in code order, read from the field itself and not
+    from the charsums tables they check: the nonzero codes, the traces of
+    all q codes and of the nonzero ones, the dlogs of the nonzero codes,
+    dlog(-1), and the dlogs of a and 1 - a over the codes a outside
+    {0, 1}."""
+    q, log = field.q, field.log_table
+    codes, a = np.arange(1, q), np.arange(2, q)
+    trace_all = field.codes_trace(np.arange(q))
+    return SimpleNamespace(
+        codes=codes, trace_all=trace_all, trace=trace_all[1:],
+        dlog=log[codes], dlog_neg_one=int(log[field.codes_sub(0, 1)]),
+        pair_dlog=log[a], pair_dlog_om=log[field.codes_sub(1, a)])
+
+
 def _pair_tensor(field, m):
     """T[i, j, w] = pairs of nonzero (alpha, beta) with dlogs i and j mod m
     and tr(alpha) + tr(beta) = w mod p, counted whole: the oracle of the
     class slabs.  Entry (i, j, w) counts zeta_m^(s i + t j) zeta_p^w in
     G(chi^s) G(chi^t)."""
-    p, t = field.p, _tables(field)
+    p, t = field.p, _code_order(field)
     cls = t.dlog % m
     return charsums._pair_counts(len(cls), len(cls), m * m * p, lambda r: (
         (t.trace[r, None] + t.trace[None, :]) % p
         + (cls[r, None] * m + cls[None, :]) * p)).reshape(m, m, p)
+
+
+def test_tables_follow_their_definitions():
+    # the count layer's one enumeration, alpha = g^k, against the scalar API
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        q, g, t = field.q, field.generator, _tables(field)
+        assert t.trace.tolist() == [trace(field, g ** k)
+                                    for k in range(q - 1)], q
+        assert t.zech.tolist() == [dlog(field, field.one - g ** k)
+                                   for k in range(1, q - 1)], q
+        assert t.dlog_neg_one == dlog(field, -field.one), q
 
 
 def test_character_requires_divisibility():
@@ -373,7 +401,7 @@ def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch):
     blocks = (charsums._PAIR_BLOCK, 1)
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
-        q, t = field.q, _tables(field)
+        q, t = field.q, _code_order(field)
         sum_codes = field.codes_add(np.repeat(t.codes, q - 1),
                                     np.tile(t.codes, q - 1))
         w = t.trace_all[sum_codes]
@@ -417,7 +445,7 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch):
     split = []
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
-        q, t = field.q, _tables(field)
+        q, t = field.q, _code_order(field)
         for m in [d for d in range(1, q) if (q - 1) % d == 0]:
             j = np.arange(m)
             want_a = np.zeros((m, p), dtype=np.int64)
@@ -528,7 +556,7 @@ def _literal_v(field, m):
     gamma != 0, multiplied out to alpha = a gamma and beta = (1 - a) gamma,
     keyed by their classes and tr(alpha + beta); plus the pairs
     beta = -alpha, f in each class of alpha."""
-    q, p, t = field.q, field.p, _tables(field)
+    q, p, t = field.q, field.p, _code_order(field)
     exp, log = field.exp_table, field.log_table
     a = np.arange(2, q)
     gamma = t.codes
@@ -561,11 +589,11 @@ def test_quotient_slabs_match_the_tensor_oracles(monkeypatch):
 def _gauss_product_references(field, m):
     """The one-piece literal histograms of the conjugate-norm and
     opposite-product bases and of the quotient tensor V."""
-    p, t = field.p, _tables(field)
+    p, t = field.p, _code_order(field)
     ldiff = (t.dlog[:, None] - t.dlog[None, :]) % m
     wdiff = (t.trace[:, None] - t.trace[None, :]) % p
     wsum = (t.trace[:, None] + t.trace[None, :]) % p
-    a_cls, om_cls = _class_pairs(field, m)
+    a_cls, om_cls = t.pair_dlog % m, t.pair_dlog_om % m
     cls = t.dlog % m
     j1 = (a_cls[:, None] + cls[None, :]) % m
     j2 = (om_cls[:, None] + cls[None, :]) % m

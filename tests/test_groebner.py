@@ -11,10 +11,11 @@ from cyclodiff.errors import (CyclodiffError, LimitExceeded,
                               UncertifiedBasis)
 from cyclodiff.groebner import (_B, GBasis, _Packing, buchberger, certify,
                                 compute_f_poly, eliminate_to_univariate,
-                                f_table, is_zero_dimensional, normal_form,
+                                is_zero_dimensional, normal_form,
                                 probe_g0_zero, staircase)
 from cyclodiff.intpoly import IntPoly
 from cyclodiff.polysys import MPoly, gen_ghat_system
+from cyclodiff.tables import f_table
 
 
 def _grevlex_key(exps) -> tuple:

@@ -30,3 +30,29 @@ def test_the_basis_engine_keeps_one_representation():
     assert not defined & {"_grevlex_key", "_lead", "_divides"}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "Fraction" not in names
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports only to export; elsewhere an imported name must
+    # be read somewhere in its module, or its import line must say why not
+    # with "# noqa: F401"
+    unused = []
+    for path in sorted(Path(cyclodiff.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if ("# noqa: F401" in lines[node.lineno - 1]
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
