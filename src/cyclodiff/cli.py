@@ -186,6 +186,9 @@ def _cmd_ds_check(args) -> int:
 
 
 def _cmd_ds_scan(args) -> int:
+    # an empty scan would read as a clean one with no hits
+    if args.q_max < 2:
+        raise CyclodiffError(f"no field to scan: --q-max {args.q_max} < 2")
     # ranges, never lists, so a bound like --m-max 10**15 costs nothing
     m_range = None
     if args.m is not None:
@@ -196,14 +199,18 @@ def _cmd_ds_scan(args) -> int:
         hi = args.m_max if args.m_max is not None else args.q_max - 1
         m_range = range(lo, hi + 1)
     if m_range is not None:
+        # an order m divides some q - 1 only if 1 <= m <= q_max - 1
         lo, hi = m_range.start, m_range.stop - 1
+        clipped = range(max(lo, 1), min(hi, args.q_max - 1) + 1)
         if args.odd or args.even:
-            m_range = range(lo + (lo % 2 != args.odd), hi + 1, 2)
+            start = clipped.start
+            clipped = range(start + (start % 2 != args.odd), clipped.stop, 2)
+        m_range = clipped
         if not m_range:
-            # an empty range would read as a clean scan with no hits
             parity = "odd " if args.odd else "even " if args.even else ""
             raise CyclodiffError(
-                f"no order to scan: no {parity}m from {lo} to {hi}")
+                f"no order to scan: no {parity}m from {lo} to {hi} "
+                f"with 1 <= m <= {args.q_max - 1}")
     table = scan(m_range, args.q_max, modified_mode=args.modified_mode,
                  full_methods=args.full_methods, workers=args.workers)
     unexplained = table.unexplained()

@@ -6,16 +6,21 @@ F_p[x]/(f).  Fields are small by configuration, so construction eagerly
 builds exp/log tables and every operation afterwards is a table lookup or
 one of the bulk codes_* operations.
 
-Construction works only with F_p-linear maps.  Multiplication by x is the
-companion matrix C of the modulus f, so the element sum(a_i x^i) acts as
-the e x e matrix sum(a_i C^i) mod p (the 1 x 1 matrix [a] when e = 1),
-and its trace over F_p is the trace of that matrix.  The generator test
-takes powers of these matrices, the exp table is filled by doubling
-(exp[k:2k] = g^k exp[:k], applied to bounded blocks of codes), the log
-table is its inverse permutation, and tr(x^i) = trace(C^i) mod p.  The
-modulus search goes through C as well: Rabin's irreducibility test reads
-powers C^(p^k) and exact ranks mod p, so no polynomial arithmetic over
-F_p is needed.
+A prime field (e = 1) is built with scalar arithmetic: the code of an
+element is its residue, the generator test is pow(c, (p-1)/r, p), the exp
+table is filled by doubling (exp[k:2k] = g^k exp[:k], one product mod p
+per step) and the trace is the identity.
+
+An extension field is built only with F_p-linear maps.  Multiplication
+by x is the companion matrix C of the modulus f, so the element
+sum(a_i x^i) acts as the e x e matrix sum(a_i C^i) mod p, and its trace
+over F_p is the trace of that matrix.  The generator test takes powers of
+these matrices, the same doubling fills the exp table with the matrix of
+g^k applied to bounded blocks of codes, and tr(x^i) = trace(C^i) mod p.
+In both cases the log table is the inverse permutation of the exp table.
+The modulus search goes through C as well: Rabin's irreducibility test
+reads powers C^(p^k) and exact ranks mod p, so no polynomial arithmetic
+over F_p is needed.
 """
 
 from __future__ import annotations
@@ -155,7 +160,11 @@ class FiniteField:
     The modulus is the first monic irreducible of degree e when coefficient
     vectors are ordered by their integer code sum(c_i * p^i); the generator
     is the first element in the same code order whose multiplicative order
-    is q - 1.  Both choices are reproducible across runs.
+    is q - 1 (for a prime field, the least primitive root mod p).  Both
+    choices are reproducible across runs.  Prime fields build their tables
+    from residues and scalar powers, extension fields from the companion
+    matrix of the modulus; only the generator test and the step of the
+    exp table's doubling differ.
     """
 
     def __init__(self, p: int, e: int):
@@ -198,49 +207,69 @@ class FiniteField:
         """The matrices sum(a_i C^i) mod p of multiplication by each code."""
         return np.tensordot(self.codes_to_matrix(codes), cpow, axes=1) % self.p
 
-    def _first_generator(self, cpow: np.ndarray) -> int:
-        """The first code whose matrix M has M^((q-1)/r) != I for every
-        prime r dividing q - 1, that is, whose order is q - 1."""
+    def _first_generator(self, cpow) -> int:
+        """The first code of order q - 1: its power (q-1)/r is not 1 for any
+        prime r dividing q - 1.  A residue mod p is tested alone with pow,
+        since the least primitive root is small; an extension code through
+        its matrix M (M^((q-1)/r) != I), a batch of codes per stacked power."""
         q, p = self.q, self.p
         exps = [(q - 1) // r for r in prime_factors(q - 1)]
-        eye = np.eye(self.e, dtype=np.int64)
-        for lo in range(1, q, _GEN_BATCH):
-            codes = np.arange(lo, min(lo + _GEN_BATCH, q), dtype=np.int64)
-            mats = self._mul_matrices(codes, cpow)
-            full = np.ones(len(codes), dtype=bool)
-            for k in exps:
-                full &= np.any(_mat_pow(mats, k, p) != eye, axis=(1, 2))
-            hits = np.flatnonzero(full)
-            if len(hits):
-                return int(codes[hits[0]])
+        if self.e == 1:
+            for code in range(1, q):
+                if all(pow(code, k, p) != 1 for k in exps):
+                    return code
+        else:
+            eye = np.eye(self.e, dtype=np.int64)
+            for lo in range(1, q, _GEN_BATCH):
+                codes = np.arange(lo, min(lo + _GEN_BATCH, q), dtype=np.int64)
+                mats = self._mul_matrices(codes, cpow)
+                full = np.ones(len(codes), dtype=bool)
+                for k in exps:
+                    full &= np.any(_mat_pow(mats, k, p) != eye, axis=(1, 2))
+                hits = np.flatnonzero(full)
+                if len(hits):
+                    return int(codes[hits[0]])
         raise ArithmeticError(f"no element of order {q - 1} in F_{q}")
+
+    def _times_step(self, codes: np.ndarray, step, out: np.ndarray):
+        """out = codes * g^k, with step acting as g^k: the residue itself
+        when e = 1, else the matrix of multiplication by g^k, applied to
+        bounded blocks of codes."""
+        if self.e == 1:
+            np.multiply(codes, step, out=out)
+            out %= self.p
+            return
+        for lo in range(0, len(codes), _EXP_BLOCK):
+            digits = self.codes_to_matrix(codes[lo:lo + _EXP_BLOCK])
+            out[lo:lo + _EXP_BLOCK] = self.matrix_to_codes(digits @ step.T)
 
     def _build_tables(self):
         q, p = self.q, self.p
-        cpow = self._companion_powers()
-        self.generator_code = self._first_generator(cpow)
-        # exp[k:2k] = g^k * exp[:k], with g^k acting as the matrix step
-        step = self._mul_matrices(self.generator_code, cpow)
+        if self.e == 1:
+            # the code of a residue is the residue, and tr is the identity
+            self._basis_traces = np.ones(1, dtype=np.int64)
+            self.generator_code = step = self._first_generator(None)
+        else:
+            cpow = self._companion_powers()
+            # tr(x^i) is the trace of the map "times x^i"
+            self._basis_traces = np.trace(cpow, axis1=1, axis2=2) % p
+            self.generator_code = self._first_generator(cpow)
+            step = self._mul_matrices(self.generator_code, cpow)
+        # exp[k:2k] = g^k * exp[:k], squaring the step g^k each time
         exp = np.empty(q - 1, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
-        exp[0], log[1] = 1, 0
+        exp[0] = 1
         k = 1
         while k < q - 1:
             width = min(k, q - 1 - k)
-            for lo in range(0, width, _EXP_BLOCK):
-                hi = min(lo + _EXP_BLOCK, width)
-                digits = self.codes_to_matrix(exp[lo:hi])
-                block = self.matrix_to_codes(digits @ step.T)
-                exp[k + lo:k + hi] = block
-                log[block] = np.arange(k + lo, k + hi, dtype=np.int64)
-            step = step @ step % p
+            self._times_step(exp[:width], step, exp[k:k + width])
+            step = step * step % p if self.e == 1 else step @ step % p
             k *= 2
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1, dtype=np.int64)
         if log[0] != -1 or np.any(log[1:] < 0):
             raise ArithmeticError("exp table is not a permutation of 1..q-1")
         self.exp_table = exp
         self.log_table = log
-        # tr(x^i) is the trace of the map "times x^i"
-        self._basis_traces = np.trace(cpow, axis1=1, axis2=2) % p
 
     # identity ------------------------------------------------------------
 
@@ -372,9 +401,15 @@ class FiniteField:
         return int(self.codes_trace(code))
 
 
-@functools.lru_cache(maxsize=128)
 def make_field(p: int, e: int = 1) -> FiniteField:
-    """Construct (or fetch the cached) F_{p^e}."""
+    """Construct (or fetch the cached) F_{p^e}.  The cache is keyed on
+    (p, e) however the call spells them, so make_field(11),
+    make_field(11, 1) and make_field(p=11, e=1) share one field."""
+    return _cached_field(p, e)
+
+
+@functools.lru_cache(maxsize=128)
+def _cached_field(p: int, e: int) -> FiniteField:
     return FiniteField(p, e)
 
 

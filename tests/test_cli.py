@@ -208,6 +208,19 @@ def test_ds_scan_rejects_an_empty_order_range(capsys):
         out = capsys.readouterr()
         assert out.out == "", bounds
         assert "no order to scan" in out.err, bounds
+    # no m <= 0 and no m >= q_max divides any q - 1 with q <= q_max
+    for bounds in (["--m", "0"], ["--m", "-4"], ["--m-min", "-3", "--m-max", "0"],
+                   ["--m", "500"], ["--m-min", "-9", "--m-max", "1", "--even"]):
+        assert run(["ds", "scan", *bounds, "--q-max", "100"]) == 1, bounds
+        out = capsys.readouterr()
+        assert out.out == "", bounds
+        assert "no order to scan" in out.err, bounds
+    for q_max in ("1", "0", "-5"):
+        for bounds in ([], ["--m", "2"]):
+            assert run(["ds", "scan", *bounds, "--q-max", q_max]) == 1, q_max
+            out = capsys.readouterr()
+            assert out.out == "", q_max
+            assert "no field to scan" in out.err, q_max
     assert run(["ds", "scan", "--m-min", "2", "--m-max", "2",
                 "--q-max", "50"]) == 0
     assert _json_out(capsys)["instances"] > 0

@@ -150,3 +150,9 @@ def test_difference_counts_match_literal_pairs(monkeypatch):
 
 def test_make_field_is_cached():
     assert make_field(11) is make_field(11)
+    # one cache entry however (p, e) is spelled
+    field = make_field(13)
+    assert make_field(13, 1) is field
+    assert make_field(p=13, e=1) is field
+    assert make_field(13, e=1) is field
+    assert make_field(e=1, p=13) is field

@@ -6,17 +6,21 @@ form: the modulus is the first irreducible in code order, the generator
 the first code of order q - 1, exp[k] is g^k by repeated multiplication,
 the trace is the Frobenius sum, and addition works digit by digit.
 The irreducibility test is also checked on every small monic input,
-reducible ones included.
+reducible ones included.  Prime fields, built with scalar arithmetic, are
+checked further against sympy's least primitive root up to p = 1048573.
 """
 
 import numpy as np
 import pytest
+from sympy import primerange
+from sympy.ntheory import primitive_root
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (gf_add, gf_irreducible_p, gf_mul,
                                      gf_pow_mod, gf_rem, gf_sub)
 
+from cyclodiff import ff
 from cyclodiff.diffsets import prime_powers
-from cyclodiff.ff import _is_irreducible, make_field
+from cyclodiff.ff import FiniteField, _is_irreducible, make_field
 from cyclodiff.intpoly import prime_factors
 
 FIELDS = [(p, e) for p, e, _ in prime_powers(1024)]
@@ -94,10 +98,43 @@ def test_pinned_modulus_and_generator():
         (5, 5): ((1, 4, 0, 0, 0, 1), 10),
         (7, 4): ((1, 1, 0, 0, 1), 12),
         (2, 14): ((1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 7),
+        (65537, 1): ((0, 1), 3),
+        (524287, 1): ((0, 1), 3),
+        (1048573, 1): ((0, 1), 2),
     }
     for (p, e), (modulus, gen) in pinned.items():
         field = make_field(p, e)
         assert (field.modulus, field.generator_code) == (modulus, gen), (p, e)
+
+
+def _check_prime_field(p):
+    field = FiniteField(p, 1)
+    assert field.generator_code == primitive_root(p), p
+    g, exp = field.generator_code, field.exp_table
+    for k in range(0, p - 1, max(1, (p - 1) // 100)):
+        assert int(exp[k]) == pow(g, k, p), (p, k)
+    assert np.array_equal(field.log_table[exp], np.arange(p - 1)), p
+    assert field._basis_traces.tolist() == [1], p
+
+
+def test_prime_fields_match_sympy_primitive_roots():
+    # past the galoistools bound: the generator is the least primitive
+    # root, exp[k] is g^k on a stride of about 100 k, log inverts exp
+    for p in [int(p) for p in primerange(2, 20000)] + [65537, 524287, 1048573]:
+        _check_prime_field(p)
+
+
+def test_prime_fields_build_without_matrices(monkeypatch):
+    # the matrix machinery is for extension fields; a prime field that
+    # reaches it has fallen off the scalar path
+    def refuse(*args, **kwargs):
+        raise AssertionError("prime field built through matrices")
+    monkeypatch.setattr(ff, "_mat_pow", refuse)
+    monkeypatch.setattr(FiniteField, "_mul_matrices", refuse)
+    for p in (2, 3, 5, 101, 7919, 65537):
+        _check_prime_field(p)
+    with pytest.raises(AssertionError, match="through matrices"):
+        FiniteField(3, 2)
 
 
 @pytest.mark.parametrize("p,degrees", [(2, range(2, 7)), (3, range(2, 5)),
