@@ -30,9 +30,13 @@ The gauss route of diffsets reads the diagonal slab T[j - dlog(-1), j]
 and the per-class trace histogram (through _gauss_slices), counted once
 per (field, m) and, where the symmetry of T allows, over half the
 diagonal; the tensor's marginals follow from the histogram.  The
-quotient identity compares the tensor with its Jacobi expansion one
-class slab at a time.  The direct route of diffsets counts differences
-with its own counter and shares nothing.
+quotient identity compares the tensor with its Jacobi expansion class by
+class, from one definition of the pairs' keys (_quotient_keys): as slab
+histograms where a slab of m p bins holds no more than its f (q - 1)
+pairs, and otherwise, where most bins would be empty, as the sorted keys
+of about one block of pairs at a time, which are equal exactly when the
+histograms are.  The direct route of diffsets counts differences with
+its own counter and shares nothing.
 """
 
 from __future__ import annotations
@@ -128,7 +132,8 @@ _PAIR_BLOCK = 1 << 18
 
 # Bins of the m class slabs, m m p, past which the Gauss-product paths raise
 # BoundExceeded, and pairs of nonzero elements, (q - 1)^2, past which the
-# gauss route does.
+# gauss route does.  The quotient identity's keys are int32 and lie below
+# m m p, so _TENSOR_MAX must stay below 2^31.
 _TENSOR_MAX = 3 * 10 ** 7
 _PAIRS_MAX = 3 * 10 ** 7
 
@@ -301,31 +306,80 @@ def _gauss_counts(field: FiniteField, m: int):
     return a, m1
 
 
-def _quotient_slabs(field: FiniteField, m: int):
-    """(U[i], V[i]) for each class i, two (m, p) slabs of the quotient
-    identity's tensors.  U[i] = T[i] pairs alpha in class i with every
-    nonzero beta, keyed by the class of beta and tr alpha + tr beta; V[i]
-    pairs each a outside {0, 1} with the gamma in class i - cls(a), keyed
-    by cls((1 - a) gamma) and tr gamma, plus the f pairs beta = -alpha at
-    (i + dlog(-1), 0).  Raises BoundExceeded first."""
+def _quotient_keys(field: FiniteField, m: int) -> SimpleNamespace:
+    """The pairs of the quotient identity's tensors U and V as int32 keys
+    j p + w into an (m, p) slab, for the classes i of a slice cls, one
+    axis of keys per class:
+
+    u(cls, r)  U[i] = T[i]: alpha from rows r of class i's traces, paired
+               with every nonzero beta, at the class j of beta and
+               w = tr alpha + tr beta;
+    v(cls, r)  V[i] without its diagonal: each a outside {0, 1} in rows r
+               of the pairs, with the gamma in class i - cls(a), at
+               j = cls((1 - a) gamma) and w = tr gamma;
+    diag[i]    the key of V[i]'s f pairs beta = -alpha, at
+               (i + dlog(-1), 0).
+
+    Rows of u run over the f elements of a class and rows of v over the
+    q - 2 values of a, so u(cls, :), and v(cls, :) with the diagonal, hold
+    f (q - 1) pairs per class.  Raises BoundExceeded first.
+    """
     p = field.p
     _require_tensor_budget(m, p)
-    t = _tables(field)
     f = (field.q - 1) // m
-    grid = _class_grid(field, m)
+    grid = _class_grid(field, m).astype(np.int32)
     every = grid.ravel()  # every nonzero beta, class by class
-    beta_cls = np.repeat(np.arange(m) * p, f)
+    beta_cls = np.repeat(np.arange(m, dtype=np.int32) * p, f)
     a_cls, om_cls = _class_pairs(field, m)
-    shift = om_cls - a_cls  # cls((1 - a) gamma) - cls(a gamma)
+    # cls((1 - a) gamma) - cls(a gamma)
+    shift = (om_cls - a_cls).astype(np.int32)
+    classes = np.arange(m, dtype=np.int32)
+
+    def u(cls, r):
+        return (grid[cls, r, None] + every) % p + beta_cls
+
+    def v(cls, r):
+        i = classes[cls, None]
+        return grid[(i - a_cls[r]) % m] + ((shift[r] + i) % m * p)[..., None]
+
+    diag = (classes + _tables(field).dlog_neg_one) % m * p
+    return SimpleNamespace(u=u, v=v, diag=diag, pairs=len(a_cls))
+
+
+def _quotient_slabs(field: FiniteField, m: int):
+    """(U[i], V[i]) for each class i, the two (m, p) slabs of the quotient
+    identity's tensors (see _quotient_keys), each a histogram counted by
+    _pair_counts.  Raises BoundExceeded first."""
+    p, f = field.p, (field.q - 1) // m
+    keys = _quotient_keys(field, m)
     for i in range(m):
-        alpha = grid[i]
-        u = _pair_counts(f, m * f, m * p, lambda r: (
-            (alpha[r, None] + every) % p + beta_cls)).reshape(m, p)
-        v = _pair_counts(len(a_cls), f, m * p, lambda r: (
-            (shift[r, None] + i) % m * p
-            + grid[(i - a_cls[r]) % m])).reshape(m, p)
-        v[(i + t.dlog_neg_one) % m, 0] += f
-        yield u, v
+        cls = slice(i, i + 1)
+        u = _pair_counts(f, m * f, m * p, lambda r: keys.u(cls, r))
+        v = _pair_counts(keys.pairs, f, m * p, lambda r: keys.v(cls, r))
+        v[keys.diag[i]] += f
+        yield u.reshape(m, p), v.reshape(m, p)
+
+
+def _quotient_key_groups(field: FiniteField, m: int):
+    """(i0, u, v) for each group of classes i0..i1 - 1: the keys of
+    U[i0:i1] and of V[i0:i1] with its diagonal (see _quotient_keys), each
+    offset by (i - i0) m p into one flat int32 array.  A group holds
+    max(1, _PAIR_BLOCK // (f (q - 1))) classes, so neither array has more
+    than max(_PAIR_BLOCK, f (q - 1)) keys; every key lies below m m p,
+    which the tensor budget keeps within _TENSOR_MAX < 2^31.  Raises
+    BoundExceeded first."""
+    f = (field.q - 1) // m
+    keys = _quotient_keys(field, m)
+    per = max(1, _PAIR_BLOCK // (f * (field.q - 1)))
+    all_rows = slice(None)
+    for i0 in range(0, m, per):
+        cls = slice(i0, min(i0 + per, m))
+        offset = np.arange(cls.stop - i0, dtype=np.int32) * (m * field.p)
+        u, v = keys.u(cls, all_rows), keys.v(cls, all_rows)
+        u += offset[:, None, None]
+        v += offset[:, None, None]
+        yield i0, u.ravel(), np.concatenate(
+            (v.ravel(), np.repeat(keys.diag[cls] + offset, f)))
 
 
 # -- the sums themselves ---------------------------------------------------------
@@ -414,10 +468,15 @@ def verify_gauss_opposite_product(field: FiniteField, m: int) -> bool:
 def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
     """The Gauss-sum factorization of Jacobi sums, for every exponent pair.
 
-    Checked at the level of exponent counts, one class slab at a time (see
-    _quotient_slabs): the pair tensor U, the literal expansion of
+    Checked at the level of exponent counts, class by class (see
+    _quotient_keys): the pair tensor U, the literal expansion of
     G(chi^s) G(chi^t), must equal the tensor V built from (a, gamma) with
     alpha = a gamma, beta = (1-a) gamma, plus the beta = -alpha diagonal.
+    Each class slab has m p bins and f (q - 1) pairs.  Where the bins are
+    no more than the pairs, the slabs are compared as histograms
+    (_quotient_slabs); otherwise the pairs of a group of classes are
+    compared as sorted keys (_quotient_key_groups), equal exactly when
+    their histograms are, so the verdict is the same exact statement.
     Equality of the tensors implies G(chi^s)G(chi^t) = J(chi^s,chi^t)
     G(chi^(s+t)) for every s, t with s, t, s+t all nontrivial, since each
     instance is a fixed linear functional of the three tensors.  The
@@ -425,7 +484,13 @@ def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
     exponent.  Raises BoundExceeded past the tensor budget.
     """
     _require_order(field, m)
-    if not all(np.array_equal(u, v) for u, v in _quotient_slabs(field, m)):
+    q = field.q
+    if m * field.p > (q - 1) // m * (q - 1):
+        same = all(np.array_equal(np.sort(u), np.sort(v))
+                   for _, u, v in _quotient_key_groups(field, m))
+    else:
+        same = all(np.array_equal(u, v) for u, v in _quotient_slabs(field, m))
+    if not same:
         return False
     # degenerate pairs: J(chi^s, chi^-s) = -chi^s(-1)
     a_cls, om_cls = _class_pairs(field, m)

@@ -588,7 +588,8 @@ def test_quotient_slabs_match_the_tensor_oracles(monkeypatch):
 
 def _gauss_product_references(field, m):
     """The one-piece literal histograms of the conjugate-norm and
-    opposite-product bases and of the quotient tensor V."""
+    opposite-product bases and of the quotient tensor V, the last without
+    and with its beta = -alpha diagonal."""
     p, t = field.p, _code_order(field)
     ldiff = (t.dlog[:, None] - t.dlog[None, :]) % m
     wdiff = (t.trace[:, None] - t.trace[None, :]) % p
@@ -598,15 +599,42 @@ def _gauss_product_references(field, m):
     j1 = (a_cls[:, None] + cls[None, :]) % m
     j2 = (om_cls[:, None] + cls[None, :]) % m
     key = (j1 * m + j2) * p + t.trace[None, :]
+    quotient = np.bincount(key.ravel(), minlength=m * m * p)
+    neg = field.log_table[field.codes_sub(0, t.codes)]
+    diagonal = np.bincount((cls * m + neg % m) * p, minlength=m * m * p)
     return {"norm": np.bincount((ldiff * p + wdiff).ravel(), minlength=m * p),
             "opposite": np.bincount((ldiff * p + wsum).ravel(),
                                     minlength=m * p),
-            "quotient": np.bincount(key.ravel(), minlength=m * m * p)}
+            "quotient": quotient, "quotient_diagonal": quotient + diagonal}
+
+
+def _sparse_quotient(field, m):
+    """Whether verify_jacobi_quotient compares sorted keys: a class slab
+    has more bins, m p, than pairs, f (q - 1)."""
+    q = field.q
+    return m * field.p > (q - 1) // m * (q - 1)
+
+
+def _recorded_key_groups(monkeypatch):
+    """Patch _quotient_key_groups to record every group it yields; the
+    list is returned."""
+    groups = []
+    grouped = charsums._quotient_key_groups
+
+    def recording(field, m):
+        for group in grouped(field, m):
+            groups.append(group)
+            yield group
+
+    monkeypatch.setattr(charsums, "_quotient_key_groups", recording)
+    return groups
 
 
 def test_gauss_product_histograms_count_in_blocks(monkeypatch):
-    # one block row at a time must give the one-piece histograms
-    monkeypatch.setattr(charsums, "_PAIR_BLOCK", 1)
+    # one block row at a time, and the default block, must give the
+    # one-piece histograms; the quotient tensor is read from the
+    # _pair_counts slabs on dense orders and from a histogram of the
+    # compared V keys on sparse ones, and both kinds of order occur
     counted = []
     blocked = charsums._pair_counts
 
@@ -616,20 +644,102 @@ def test_gauss_product_histograms_count_in_blocks(monkeypatch):
         return out
 
     monkeypatch.setattr(charsums, "_pair_counts", recording)
-    for p, e in SWEEP_FIELDS:
+    groups = _recorded_key_groups(monkeypatch)
+    kinds = set()
+    for block in (charsums._PAIR_BLOCK, 1):
+        monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
+        for p, e in SWEEP_FIELDS:
+            field = make_field(p, e)
+            for m in _orders(field.q):
+                want = _gauss_product_references(field, m)
+                for name, check in (("norm", verify_gauss_conjugate_norm),
+                                    ("opposite",
+                                     verify_gauss_opposite_product),
+                                    ("quotient", verify_jacobi_quotient)):
+                    counted.clear()
+                    groups.clear()
+                    assert check(field, m), (field.q, m, name, block)
+                    ref = want[name]
+                    if name != "quotient":
+                        got = counted[-1]
+                    elif _sparse_quotient(field, m):
+                        # the V keys hold the f pairs beta = -alpha too
+                        kinds.add("sparse")
+                        assert not counted, (field.q, m, block)
+                        ref = want["quotient_diagonal"]
+                        pairs = (field.q - 1) // m * (field.q - 1)
+                        got = np.concatenate([
+                            np.bincount(v, minlength=len(v) // pairs * m * p)
+                            for _, _, v in groups])
+                    else:
+                        # the slabs U[i], then V[i], for each class i;
+                        # V's f diagonal is added after the count
+                        kinds.add("dense")
+                        assert not groups, (field.q, m, block)
+                        got = np.stack(counted[1::2]).ravel()
+                    assert np.array_equal(got, ref), (field.q, m, name, block)
+    assert kinds == {"sparse", "dense"}, kinds
+
+
+def test_quotient_key_groups_match_the_tensor_oracles(monkeypatch):
+    # group by group, the histograms of the U and V keys are the rows
+    # i0..i1 - 1 of the pair tensor and of the literal Jacobi expansion,
+    # on every order (dense ones included), in one block or one class a
+    # group; F_2, F_3 and F_4 have at most two values of a
+    blocks = (charsums._PAIR_BLOCK, 1)
+    for p, e in SWEEP_FIELDS + [(2, 1), (3, 1), (2, 2)]:
         field = make_field(p, e)
-        for m in [d for d in range(1, field.q) if (field.q - 1) % d == 0]:
-            want = _gauss_product_references(field, m)
-            for name, check in (("norm", verify_gauss_conjugate_norm),
-                                ("opposite", verify_gauss_opposite_product),
-                                ("quotient", verify_jacobi_quotient)):
-                counted.clear()
-                assert check(field, m), (field.q, m, name)
-                # the quotient check counts the slabs U[i], then V[i], for
-                # each class i; V's f diagonal is added after the count
-                got = (np.stack(counted[1::2]).ravel() if name == "quotient"
-                       else counted[-1])
-                assert np.array_equal(got, want[name]), (field.q, m, name)
+        q = field.q
+        for m in _orders(q):
+            want_u, want_v = _pair_tensor(field, m), _literal_v(field, m)
+            pairs = (q - 1) // m * (q - 1)
+            for block in blocks:
+                monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
+                next_class = 0
+                for i0, u, v in charsums._quotient_key_groups(field, m):
+                    n = len(u) // pairs
+                    assert i0 == next_class and n >= 1, (q, m, block, i0)
+                    assert len(u) == len(v) == n * pairs, (q, m, block, i0)
+                    assert len(u) <= max(block, pairs), (q, m, block, i0)
+                    assert u.dtype == v.dtype == np.int32, (q, m)
+                    for keys, want in ((u, want_u), (v, want_v)):
+                        got = np.bincount(keys, minlength=n * m * p)
+                        assert np.array_equal(
+                            got.reshape(n, m, p), want[i0:i0 + n]), \
+                            (q, m, block, i0)
+                    next_class = i0 + n
+                assert next_class == m, (q, m, block)
+
+
+def test_quotient_check_rejects_one_class_off_by_one(monkeypatch):
+    # one dlog(1 - a) class off by one leaves U and V the same size, so
+    # only their contents tell them apart; both the sorted keys of a
+    # sparse order and the slab histograms of a dense one must see it.
+    # The degenerate-pair test is made to pass, so that only the tensor
+    # comparison can reject
+    cases = {(31, 15): "sparse", (31, 2): "dense"}
+    for q, m in cases:
+        assert verify_jacobi_quotient(make_field(q), m), (q, m)
+    paths = []
+    slabs, groups = charsums._quotient_slabs, charsums._quotient_key_groups
+    pairs = charsums._class_pairs
+
+    def off_by_one(field, m):
+        a, b = pairs(field, m)
+        b = b.copy()
+        b[len(b) // 2] = (b[len(b) // 2] + 1) % m
+        return a, b
+
+    monkeypatch.setattr(charsums, "_class_pairs", off_by_one)
+    monkeypatch.setattr(charsums, "_vanishes_at_powers", lambda *_: True)
+    monkeypatch.setattr(charsums, "_quotient_slabs", lambda *args: (
+        paths.append("dense") or slabs(*args)))
+    monkeypatch.setattr(charsums, "_quotient_key_groups", lambda *args: (
+        paths.append("sparse") or groups(*args)))
+    for (q, m), path in cases.items():
+        paths.clear()
+        assert verify_jacobi_quotient(make_field(q), m) is False, (q, m)
+        assert paths == [path], (q, m, paths)
 
 
 def test_tensor_budget_raises_before_counting(monkeypatch):
