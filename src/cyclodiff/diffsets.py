@@ -161,10 +161,15 @@ def check_direct(field: FiniteField, cls: CyclotomicClass) -> DSReport:
     if not deviant.any():
         family = known_family_match(field.q, m, cls.modified)
         return DSReport(params, VERDICT_DS, ("direct",), family=family)
-    coset = field.log_table[1:] % m
-    gamma = int(np.argmax(deviant[coset])) + 1
+    # scan codes 1, 2, ... in doubling blocks for the first deviant coset;
+    # every coset holds a nonzero code, so a block finds one
+    log = field.log_table
+    lo, size = 1, 16
+    while not (hit := deviant[log[lo:lo + size] % m]).any():
+        lo, size = lo + size, 2 * size
+    gamma = lo + int(np.argmax(hit))
     return DSReport(params, VERDICT_NOT, ("direct",),
-                    witness=(gamma, int(counts[coset[gamma - 1]])))
+                    witness=(gamma, int(counts[log[gamma] % m])))
 
 
 def check_charsum(field: FiniteField, m: int, modified: bool) -> str:

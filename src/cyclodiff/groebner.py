@@ -170,22 +170,52 @@ def _sub_shifted(dst: dict, factor: int, src: dict, shift: int) -> None:
 _DEADLINE_STEPS = 256
 
 
-def _reduce_full(f: dict, gens: list, packing: _Packing,
+class _Divisors:
+    """A list of generator triples that only grows, with a memo of the
+    first generator whose lead divides each key the reducer has met.
+
+    While the list only grows, the first divisor of a key in list order
+    never changes, so first[key] = i >= 0 is final.  first[key] = ~n < 0
+    records that no lead of gens[:n] divides key, and a later division
+    scans only the generators appended since.  The list and its memo
+    live in one object so that no memo is read against another list.
+    """
+
+    __slots__ = ("gens", "first")
+
+    def __init__(self, gens: list):
+        self.gens = gens            # append to it, never edit or reorder
+        self.first: dict = {}
+
+
+def _reduce_full(f: dict, gens, packing: _Packing,
                  deadline: Optional[float] = None) -> tuple[dict, int]:
     """Fraction-free remainder of the packed int polynomial f on division
     by gens.
 
-    gens entries are (packed terms, leading key, leading coeff) with int
-    coefficients.  Returns (r, mult): mult is a positive integer, every
-    term of r is irreducible, and r is exactly mult times the remainder
-    that the same division over Q leaves.  To cancel a leading term c
-    against a generator with leading coefficient glc, the working
-    polynomial and the remainder so far are scaled by glc / gcd(c, glc)
-    and c / gcd(c, glc) times the shifted generator is subtracted.
-    Past deadline (a time.monotonic() value) it raises LimitExceeded.
+    gens is a list of (packed terms, leading key, leading coeff) triples
+    with int coefficients, or a _Divisors over such a list, whose memo
+    then outlives the call: buchberger shares one over its growing basis
+    for every S-polynomial, and certify and the minimal-polynomial search
+    one each over their fixed generators.  A plain list gets a memo of
+    its own for this call only, so inter-reduction and normal_form scan
+    afresh.  Each step divides by the first generator in list order
+    whose lead divides the current lead.  Returns (r, mult): mult is a
+    positive integer, every term of r is irreducible, and r is exactly
+    mult times the remainder that the same division over Q leaves.  To
+    cancel a leading term c against a generator with leading coefficient
+    glc, the working polynomial is scaled by glc / gcd(c, glc) and c /
+    gcd(c, glc) times the shifted generator is subtracted.  A remainder
+    term is kept with the multiplier in force when it moved there, and
+    scaled once, at the end, by mult over that multiplier.  Past deadline
+    (a time.monotonic() value) it raises LimitExceeded.
     """
+    if isinstance(gens, _Divisors):
+        gens, first = gens.gens, gens.first
+    else:
+        first = {}
     borrow = packing.borrow
-    remainder: dict = {}
+    remainder: dict = {}            # key -> (coeff, multiplier then)
     work = {e: c for e, c in f.items() if c}
     mult = 1
     steps = 0
@@ -196,23 +226,30 @@ def _reduce_full(f: dict, gens: list, packing: _Packing,
                                 f"steps")
         steps += 1
         lead = max(work)
-        for gterms, glead, glc in gens:
-            # _Packing.divides(glead, lead), inlined in the hot loop
-            if ((glead | borrow) - lead) & borrow == borrow:
-                c = work[lead]
-                g = gcd(c, glc)
-                scale, factor = glc // g, c // g
-                if scale < 0:
-                    scale, factor = -scale, -factor
-                if scale != 1:
-                    mult *= scale
-                    work = {e: scale * v for e, v in work.items()}
-                    remainder = {e: scale * v for e, v in remainder.items()}
-                _sub_shifted(work, factor, gterms, lead - glead)
-                break
-        else:
-            remainder[lead] = work.pop(lead)
-    return remainder, mult
+        i = first.get(lead, -1)
+        if i < 0:
+            for i in range(~i, len(gens)):
+                # _Packing.divides(gens[i][1], lead), inlined in the hot loop
+                if ((gens[i][1] | borrow) - lead) & borrow == borrow:
+                    break
+            else:
+                i = ~len(gens)
+            first[lead] = i
+        if i < 0:
+            remainder[lead] = (work.pop(lead), mult)
+            continue
+        gterms, glead, glc = gens[i]
+        c = work[lead]
+        g = gcd(c, glc)
+        scale, factor = glc // g, c // g
+        if scale < 0:
+            scale, factor = -scale, -factor
+        if scale != 1:
+            mult *= scale
+            work = {e: scale * v for e, v in work.items()}
+        _sub_shifted(work, factor, gterms, lead - glead)
+    return {e: c * (mult // then)
+            for e, (c, then) in remainder.items()}, mult
 
 
 def _spoly(a, b, packing: _Packing) -> dict:
@@ -267,6 +304,14 @@ def buchberger(system, seed: int = 0,
     does a monomial of total degree above 32767, the packed bound.  A
     given limit must pass the same check as CYCLODIFF_LIMITS, so 0, a
     negative value or a bool is refused, never read as the default.
+
+    The main loop only appends to the basis, so every S-polynomial is
+    divided through one _Divisors over it, whose memo keeps the first
+    divisor of each lead key met so far; the reducer scales each
+    remainder once, at the end.  Inter-reduction divides each generator
+    by a list of the others made for it, with a memo of its own.  The
+    chain criterion tests divisibility and looks up the two side pairs
+    without building a tuple per candidate.
     """
     given = {k: v for k, v in (("gb_max_spairs", max_spairs),
                                ("gb_max_coeff_bits", max_coeff_bits),
@@ -329,6 +374,9 @@ def buchberger(system, seed: int = 0,
     for new in range(len(basis)):
         add_pairs(new)
 
+    # from here on basis only grows, which a shared memo needs
+    divisors = _Divisors(basis)
+
     def reduce(f, gens):
         try:
             rem, _ = _reduce_full(f, gens, packing, deadline)
@@ -336,7 +384,7 @@ def buchberger(system, seed: int = 0,
             bail(f"timeout after {timeout:g}s")
         return _strip_content(rem)
 
-    divides = packing.divides
+    borrow = packing.borrow
     while queue:
         if stats["spairs_reduced"] >= max_spairs:
             bail(f"S-pair budget {max_spairs} exhausted")
@@ -347,14 +395,14 @@ def buchberger(system, seed: int = 0,
             stats["spairs_discarded"] += 1
             continue
         # chain criterion: a third generator divides the lcm and both
-        # side pairs are already settled
+        # side pairs are already settled; i < j, and the divisibility
+        # test is _Packing.divides, inlined
         settled = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if divides(basis[k][1], lcm) \
-                    and tuple(sorted((i, k))) not in pending \
-                    and tuple(sorted((j, k))) not in pending:
+        for k, (_, lk, _) in enumerate(basis):
+            if ((lk | borrow) - lcm) & borrow == borrow \
+                    and k != i and k != j \
+                    and ((i, k) if i < k else (k, i)) not in pending \
+                    and ((j, k) if j < k else (k, j)) not in pending:
                 settled = True
                 break
         if settled:
@@ -364,7 +412,7 @@ def buchberger(system, seed: int = 0,
             spoly = _spoly(basis[i], basis[j], packing)
         except LimitExceeded as exc:
             bail(str(exc))
-        rem = reduce(spoly, basis)
+        rem = reduce(spoly, divisors)
         stats["spairs_reduced"] += 1
         if not rem:
             continue
@@ -376,6 +424,7 @@ def buchberger(system, seed: int = 0,
         add_pairs(len(basis) - 1)
 
     # minimalize: drop generators whose lead another lead divides
+    divides = packing.divides
     keep = []
     for i, (_, li, _) in enumerate(basis):
         if not any(k != i and divides(basis[k][1], li)
@@ -413,9 +462,10 @@ def certify(basis: GBasis) -> bool:
     """Independent check: every S-polynomial reduces to zero."""
     packing = _Packing(basis.nvars)
     gens = _basis_triples(basis, packing)
+    divisors = _Divisors(gens)
     for i in range(len(gens)):
         for j in range(i):
-            if _reduce_full(_spoly(gens[i], gens[j], packing), gens,
+            if _reduce_full(_spoly(gens[i], gens[j], packing), divisors,
                             packing)[0]:
                 return False
     return True
@@ -489,7 +539,7 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
     pass the packed degree bound.
     """
     packing = _Packing(basis.nvars)
-    gens = _basis_triples(basis, packing)
+    gens = _Divisors(_basis_triples(basis, packing))
     times_var = packing.times(var)
     rows: dict = {}                 # pivot key -> row, positive there
     current, scale = _reduce_full({packing.base: 1}, gens, packing)

@@ -129,6 +129,55 @@ def test_direct_coset_counts_match_the_full_histogram():
                         report.family) == want, (q, m, modified)
 
 
+def _full_array_witness(field, m, deviant, counts):
+    """The first nonzero code whose coset deviates, found by mapping
+    every nonzero code to its coset."""
+    coset = field.log_table[1:] % m
+    gamma = int(np.argmax(deviant[coset])) + 1
+    return gamma, int(counts[coset[gamma - 1]])
+
+
+def test_direct_witness_is_the_full_array_rule(monkeypatch):
+    # check_direct scans codes in growing blocks for the first deviant
+    # coset; it must give the witness of the full-array rule
+    found = 0
+    for p, e, q in prime_powers(1200):
+        field = make_field(p, e)
+        for m, modified in diffsets._feasible_instances(q, None,
+                                                        (False, True)):
+            cls = cyclotomic_class(field, m, modified)
+            report = check_direct(field, cls)
+            counts = diffsets._pairs_at(field, cls.codes,
+                                        field.exp_table[:m])
+            deviant = counts != report.params.lam
+            if not deviant.any():
+                assert report.witness is None, (q, m, modified)
+                continue
+            assert report.witness == _full_array_witness(
+                field, m, deviant, counts), (q, m, modified)
+            found += 1
+    assert found > 200
+    # every real witness lies in the first block, so make one coset at a
+    # time the only deviant one, which sends the scan through later blocks
+    gammas = []
+    for p, e in ((3, 6), (1021, 1), (2, 10)):
+        field, q = make_field(p, e), p ** e
+        for m, modified in diffsets._feasible_instances(q, None,
+                                                        (False, True)):
+            cls = cyclotomic_class(field, m, modified)
+            lam = DSParams.from_instance(q, m, modified).lam
+            for c in range(m):
+                counts = np.full(m, lam)
+                counts[c] += 1
+                monkeypatch.setattr(diffsets, "_pairs_at",
+                                    lambda *args: counts)
+                report = check_direct(field, cls)
+                assert report.witness == _full_array_witness(
+                    field, m, counts != lam, counts), (q, m, modified, c)
+                gammas.append(report.witness[0])
+    assert max(gammas) > 16 + 32 + 64
+
+
 def test_pairs_at_counts_in_blocks(monkeypatch):
     field = make_field(3, 3)
     codes = cyclotomic_class(field, 2, True).codes

@@ -392,6 +392,40 @@ def test_order6_polynomials_and_counters_hold_for_every_seed(theta):
         assert got == ORDER6_RUNS[theta], seed
 
 
+# (outcome, spairs_reduced, spairs_discarded, max_coeff_bits, generators)
+# of compute_f_poly(m, theta) at seed 0 past order 6: the outcome is the
+# coefficients, or the exception's class name and message.  A change to
+# the reducer or the pair queue that alters the route changes a counter.
+ROUTE_RUNS = {
+    (4, 0): ([1], 6, 39, 4, 1),
+    (4, 1): (("NotZeroDimensional",
+              "no univariate relation on the aggregate was found"),
+             14, 64, 5, 7),
+    (8, 0): (("NotZeroDimensional",
+              "no univariate relation on the aggregate was found"),
+             284, 3721, 19, 40),
+    (8, 1): ([1], 10, 180, 8, 1),
+    (8, 2): (("LimitExceeded", "coefficient growth 5115 bits exceeds 4096"),
+             145, 135, 5115, 133),
+    (8, 3): ([1], 12, 219, 10, 1),
+}
+
+
+@pytest.mark.parametrize("m,theta", sorted(ROUTE_RUNS))
+def test_route_outcomes_and_counters_hold_at_orders_4_and_8(m, theta):
+    stats = {}
+    try:
+        outcome = list(compute_f_poly(m, theta, seed=0,
+                                      stats_sink=stats).coeffs)
+    except LimitExceeded as exc:
+        outcome, stats = (type(exc).__name__, str(exc)), exc.stats
+    except NotZeroDimensional as exc:
+        outcome = (type(exc).__name__, str(exc))
+    got = (outcome, stats["spairs_reduced"], stats["spairs_discarded"],
+           stats["max_coeff_bits"], stats["generators"])
+    assert got == ROUTE_RUNS[m, theta]
+
+
 @pytest.mark.parametrize("m,theta", [(12, 0), (12, 2), (16, 1), (20, 0),
                                      (20, 2)])
 def test_empty_branches_past_order_10(m, theta):

@@ -18,8 +18,9 @@ from sympy.polys.groebnertools import is_groebner
 from sympy.polys.orderings import grevlex
 
 from cyclodiff.errors import NotZeroDimensional
-from cyclodiff.groebner import (GBasis, _basis_triples, _Packing,
-                                _reduce_full, buchberger, certify,
+from cyclodiff.groebner import (GBasis, _basis_triples, _Divisors,
+                                _gen_triple, _Packing, _reduce_full,
+                                buchberger, certify,
                                 eliminate_to_univariate, normal_form)
 from cyclodiff.intpoly import IntPoly
 from cyclodiff.polysys import MPoly, PolySystem
@@ -153,6 +154,62 @@ def test_reducer_remainder_is_a_positive_multiple_of_the_rational_one():
             want = _sympy_dict(sp.Poly(r, *syms, domain="QQ"))
             assert rem == {e: mult * c for e, c in want.items()}, \
                 (f, divisors)
+
+
+def _plain_division(f: dict, gens: list, packing) -> tuple[dict, int]:
+    """The reducer without a memo: scan every generator for the first
+    lead that divides, and scale the remainder on every step."""
+    remainder, work, mult = {}, {e: c for e, c in f.items() if c}, 1
+    while work:
+        lead = max(work)
+        for gterms, glead, glc in gens:
+            if packing.divides(glead, lead):
+                c = work[lead]
+                g = gcd(c, glc)
+                scale, factor = glc // g, c // g
+                if scale < 0:
+                    scale, factor = -scale, -factor
+                mult *= scale
+                work = {e: scale * v for e, v in work.items()}
+                remainder = {e: scale * v for e, v in remainder.items()}
+                for e, v in gterms.items():
+                    key = e + lead - glead
+                    work[key] = work.get(key, 0) - factor * v
+                    if not work[key]:
+                        del work[key]
+                break
+        else:
+            remainder[lead] = work.pop(lead)
+    return remainder, mult
+
+
+def test_shared_divisor_memo_matches_fresh_division_as_the_list_grows():
+    # one memo serves every division while generators are appended
+    # between calls, as in buchberger's main loop; each (remainder,
+    # mult) must be that of a fresh division by the list as it stands
+    rng = random.Random(11)
+    settled = 0                 # memo misses that a later append resolved
+    for nv, gens in IDEALS:
+        packing = _Packing(nv)
+        extra = list(buchberger(gens).generators) \
+            + [_random_poly(rng, nv, 3, max_deg=2) for _ in range(3)]
+        extra = [g for g in extra if not g.is_zero()]
+        divisors = _Divisors(_basis_triples(GBasis(tuple(gens), nv,
+                                                   certified=False), packing))
+        for new in [None] + extra:
+            if new is not None:
+                misses = {k for k, i in divisors.first.items() if i < 0}
+                divisors.gens.append(_gen_triple(packing.pack_terms(new.terms)))
+            for _ in range(3):
+                f = packing.pack_terms(_random_poly(rng, nv, 6,
+                                                    max_deg=4).terms)
+                got = _reduce_full(f, divisors, packing)
+                assert got == _plain_division(f, list(divisors.gens),
+                                              packing), (gens, new)
+            if new is not None:
+                settled += sum(divisors.first[k] >= 0 for k in misses)
+    # the rescan of generators appended after a miss was exercised
+    assert settled > 0
 
 
 def test_normal_form_and_certify_agree_with_sympy():
