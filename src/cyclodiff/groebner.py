@@ -539,10 +539,10 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
     pass the packed degree bound.
     """
     packing = _Packing(basis.nvars)
-    gens = _Divisors(_basis_triples(basis, packing))
+    divisors = _Divisors(_basis_triples(basis, packing))
     times_var = packing.times(var)
     rows: dict = {}                 # pivot key -> row, positive there
-    current, scale = _reduce_full({packing.base: 1}, gens, packing)
+    current, scale = _reduce_full({packing.base: 1}, divisors, packing)
     for k in range(max_power + 1):
         vec = _strip_content({**current, -1 - k: scale})
         while (pivot := max(vec)) >= 0:
@@ -563,7 +563,7 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
                                 f"{deg} exceeds {_B}",
                                 stats=dict(basis.stats))
         shifted = {e + times_var: c for e, c in current.items()}
-        current, mult = _reduce_full(shifted, gens, packing)
+        current, mult = _reduce_full(shifted, divisors, packing)
         scale *= mult
     return None
 
