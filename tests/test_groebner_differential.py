@@ -5,7 +5,9 @@ deterministic.  sympy's grevlex order is the oracle for the tuple
 grevlex key and the engine's packed keys; sympy's groebner, reduced and is_groebner, all in grevlex,
 are the slow oracles for buchberger, the fraction-free reducer,
 normal_form and certify; and the univariate element of sympy's lex
-basis is the oracle for eliminate_to_univariate.
+basis is the oracle for eliminate_to_univariate.  A division without a
+memo, written out here, is the oracle for the reducer's shared
+first-divisor memo.
 """
 
 import random
