@@ -333,6 +333,7 @@ def _cmd_gb_solve(args) -> int:
 
 
 def _cmd_gb_table(args) -> int:
+    limit_kw = _limit_kwargs(args)    # checked even with --fixtures-only
     rows, combined = f_table(args.m)
     checks = {"product": product_check(args.m),
               "gate": nonexistence_gate(args.m)}
@@ -343,7 +344,7 @@ def _cmd_gb_table(args) -> int:
         if not args.fixtures_only:
             try:
                 poly = gb.compute_f_poly(args.m, theta, seed=args.seed,
-                                         **_limit_kwargs(args))
+                                         **limit_kw)
                 entry["computed"] = list(poly.coeffs)
                 entry["status"] = "match" if poly == fixture else "MISMATCH"
             except LimitExceeded as exc:

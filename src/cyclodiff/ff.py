@@ -404,11 +404,13 @@ class FiniteField:
 def make_field(p: int, e: int = 1) -> FiniteField:
     """Construct (or fetch the cached) F_{p^e}.  The cache is keyed on
     (p, e) however the call spells them, so make_field(11),
-    make_field(11, 1) and make_field(p=11, e=1) share one field."""
+    make_field(11, 1) and make_field(p=11, e=1) share one field.  It
+    keeps the 8 fields used last, as charsums._tables does: a scan asks
+    for each field once, and every field retains its exp/log tables."""
     return _cached_field(p, e)
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=8)
 def _cached_field(p: int, e: int) -> FiniteField:
     return FiniteField(p, e)
 

@@ -21,11 +21,14 @@ few integer operations (see _Packing).  Arithmetic is fraction-free:
 generators are primitive, the reducer scales the working polynomial by
 the cofactor of each leading coefficient instead of dividing by it, and
 the minimal-polynomial search eliminates with integer rows.  The
-reducer, the S-polynomial and the row step all subtract a multiple of
-a shifted polynomial through one helper, _sub_shifted, and content
-comes off through _strip_content.  MPoly stays the type at the
-boundary: exponents are packed on entry and unpacked into every GBasis
-and staircase.
+reducer, the S-polynomial and the row step all take one fraction-free
+elimination step, _eliminate, which scales by the cofactor of a
+leading coefficient and subtracts a shifted multiple of a generator
+through _sub_shifted; content comes off through _strip_content, and
+these two are the only places a gcd is taken.  buchberger's final pass
+minimalizes and inter-reduces in one ascending sweep over the leads.
+MPoly stays the type at the boundary: exponents are packed on entry
+and unpacked into every GBasis and staircase.
 
 A field holds no exponent above B, so the engine holds no monomial of
 total degree above B.  Reduction never raises a term's degree above
@@ -153,9 +156,8 @@ def _gen_triple(d: dict) -> tuple:
 
 def _sub_shifted(dst: dict, factor: int, src: dict, shift: int) -> None:
     """dst -= factor * src shifted by shift, in place, dropping each key
-    that cancels.  Every elimination step of the engine goes through
-    here: the reducer's, the S-polynomial's and the minimal-polynomial
-    row step's."""
+    that cancels.  The subtraction of _eliminate, the one elimination
+    step of the engine."""
     for e, c in src.items():
         key = e + shift
         val = dst.get(key, 0) - factor * c
@@ -163,6 +165,29 @@ def _sub_shifted(dst: dict, factor: int, src: dict, shift: int) -> None:
             dst[key] = val
         else:
             dst.pop(key, None)
+
+
+def _eliminate(work: dict, lead: int, gen: tuple) -> int:
+    """Cancel work[lead] in place against the generator triple gen =
+    (terms, glead, glc), whose lead divides lead, and return scale.
+
+    With c = work[lead] and g = gcd(c, glc), scale = |glc| / g and factor
+    = scale * c / glc, so scale > 0, gcd(scale, factor) = 1 and no
+    coefficient is divided: work becomes scale * work - factor * gen
+    shifted to lead.  The reducer's step, the S-polynomial and the
+    minimal-polynomial row step are all this step.
+    """
+    gterms, glead, glc = gen
+    c = work[lead]
+    g = gcd(c, glc)
+    scale, factor = glc // g, c // g
+    if scale < 0:
+        scale, factor = -scale, -factor
+    if scale != 1:
+        for e, v in work.items():
+            work[e] = scale * v
+    _sub_shifted(work, factor, gterms, lead - glead)
+    return scale
 
 
 # The reducer reads the clock on its first step and then once per this
@@ -188,32 +213,25 @@ class _Divisors:
         self.first: dict = {}
 
 
-def _reduce_full(f: dict, gens, packing: _Packing,
+def _reduce_full(f: dict, divisors: _Divisors, packing: _Packing,
                  deadline: Optional[float] = None) -> tuple[dict, int]:
     """Fraction-free remainder of the packed int polynomial f on division
-    by gens.
+    by the generator triples of divisors, whose memo outlives the call.
 
-    gens is a list of (packed terms, leading key, leading coeff) triples
-    with int coefficients, or a _Divisors over such a list, whose memo
-    then outlives the call: buchberger shares one over its growing basis
-    for every S-polynomial, and certify and the minimal-polynomial search
-    one each over their fixed generators.  A plain list gets a memo of
-    its own for this call only, so inter-reduction and normal_form scan
-    afresh.  Each step divides by the first generator in list order
-    whose lead divides the current lead.  Returns (r, mult): mult is a
-    positive integer, every term of r is irreducible, and r is exactly
-    mult times the remainder that the same division over Q leaves.  To
-    cancel a leading term c against a generator with leading coefficient
-    glc, the working polynomial is scaled by glc / gcd(c, glc) and c /
-    gcd(c, glc) times the shifted generator is subtracted.  A remainder
-    term is kept with the multiplier in force when it moved there, and
-    scaled once, at the end, by mult over that multiplier.  Past deadline
-    (a time.monotonic() value) it raises LimitExceeded.
+    buchberger shares one _Divisors over its growing basis for every
+    S-polynomial and another over the reduced basis as its final pass
+    builds it; certify, normal_form and the minimal-polynomial search
+    each make one over their fixed generators.  Each step divides by the
+    first generator in list order whose lead divides the current lead,
+    through _eliminate, and multiplies mult by its scale.  Returns (r,
+    mult): mult is a positive integer, every term of r is irreducible,
+    and r is exactly mult times the remainder that the same division
+    over Q leaves.  A remainder term is kept with the multiplier in force
+    when it moved there, and scaled once, at the end, by mult over that
+    multiplier.  Past deadline (a time.monotonic() value) it raises
+    LimitExceeded.
     """
-    if isinstance(gens, _Divisors):
-        gens, first = gens.gens, gens.first
-    else:
-        first = {}
+    gens, first = divisors.gens, divisors.first
     borrow = packing.borrow
     remainder: dict = {}            # key -> (coeff, multiplier then)
     work = {e: c for e, c in f.items() if c}
@@ -238,34 +256,24 @@ def _reduce_full(f: dict, gens, packing: _Packing,
         if i < 0:
             remainder[lead] = (work.pop(lead), mult)
             continue
-        gterms, glead, glc = gens[i]
-        c = work[lead]
-        g = gcd(c, glc)
-        scale, factor = glc // g, c // g
-        if scale < 0:
-            scale, factor = -scale, -factor
-        if scale != 1:
-            mult *= scale
-            work = {e: scale * v for e, v in work.items()}
-        _sub_shifted(work, factor, gterms, lead - glead)
+        mult *= _eliminate(work, lead, gens[i])
     return {e: c * (mult // then)
             for e, (c, then) in remainder.items()}, mult
 
 
 def _spoly(a, b, packing: _Packing) -> dict:
-    """S-polynomial of two packed int (terms, lead, lc) triples, times
-    ac * bc / gcd(ac, bc) so that no coefficient is divided.  Raises
-    LimitExceeded when the lcm of the leads is past the packed bound."""
-    (at, al, ac), (bt, bl, bc) = a, b
-    lcm = packing.lcm(al, bl)
+    """S-polynomial of two packed int (terms, lead, lc) triples: a shifted
+    to the lcm of the leads, eliminated against b, so that no coefficient
+    is divided.  Raises LimitExceeded when the lcm of the leads is past
+    the packed bound."""
+    at, al, _ = a
+    lcm = packing.lcm(al, b[1])
     if packing.degree(lcm) > _B:
         raise LimitExceeded(f"S-pair lcm of total degree "
                             f"{packing.degree(lcm)} exceeds {_B}")
-    sa, sb = lcm - al, lcm - bl
-    g = gcd(ac, bc)
-    fa, fb = bc // g, ac // g
-    out = {e + sa: fa * c for e, c in at.items()}
-    _sub_shifted(out, fb, bt, sb)
+    shift = lcm - al
+    out = {e + shift: c for e, c in at.items()}
+    _eliminate(out, lcm, b)
     return out
 
 
@@ -308,10 +316,14 @@ def buchberger(system, seed: int = 0,
     The main loop only appends to the basis, so every S-polynomial is
     divided through one _Divisors over it, whose memo keeps the first
     divisor of each lead key met so far; the reducer scales each
-    remainder once, at the end.  Inter-reduction divides each generator
-    by a list of the others made for it, with a memo of its own.  The
-    chain criterion tests divisibility and looks up the two side pairs
-    without building a tuple per candidate.
+    remainder once, at the end.  The chain criterion tests divisibility
+    and looks up the two side pairs without building a tuple per
+    candidate.  The final pass minimalizes and inter-reduces at once: in
+    ascending order of lead it skips a generator whose lead a kept lead
+    divides and appends the rest, reduced by those kept, to one growing
+    _Divisors.  A term below a lead is divisible only by a smaller lead,
+    so each generator meets every lead that could divide its tail, and
+    the result is the unique reduced basis, ascending by lead.
     """
     given = {k: v for k, v in (("gb_max_spairs", max_spairs),
                                ("gb_max_coeff_bits", max_coeff_bits),
@@ -423,23 +435,14 @@ def buchberger(system, seed: int = 0,
         basis.append(_gen_triple(rem))
         add_pairs(len(basis) - 1)
 
-    # minimalize: drop generators whose lead another lead divides
-    divides = packing.divides
-    keep = []
-    for i, (_, li, _) in enumerate(basis):
-        if not any(k != i and divides(basis[k][1], li)
-                   for k in range(len(basis)) if k in keep or k > i):
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    # inter-reduce tails
-    reduced = []
-    for i, (d, li, lc) in enumerate(minimal):
-        others = [minimal[k] for k in range(len(minimal)) if k != i]
-        rem = reduce(d, others) if others else _strip_content(d)
-        if rem:
-            reduced.append(rem)
-    reduced.sort(key=max)
-    gens = tuple(MPoly(nvars, packing.unpack_terms(d)) for d in reduced)
+    # minimalize and inter-reduce in one ascending pass over the leads
+    reduced = _Divisors([])
+    for d, lead, _ in sorted(basis, key=lambda gen: gen[1]):
+        if not any(packing.divides(kept, lead)
+                   for _, kept, _ in reduced.gens):
+            reduced.gens.append(_gen_triple(reduce(d, reduced)))
+    gens = tuple(MPoly(nvars, packing.unpack_terms(d))
+                 for d, _, _ in reduced.gens)
     stats["seconds"] = time.monotonic() - t0
     stats["generators"] = len(gens)
     return GBasis(gens, nvars, certified=True, stats=stats)
@@ -454,7 +457,7 @@ def normal_form(f: MPoly, basis: GBasis) -> MPoly:
                             f"{basis.nvars}")
     packing = _Packing(f.nvars)
     rem, _ = _reduce_full(packing.pack_terms(f.terms),
-                          _basis_triples(basis, packing), packing)
+                          _Divisors(_basis_triples(basis, packing)), packing)
     return MPoly(f.nvars, packing.unpack_terms(_strip_content(rem)))
 
 
@@ -533,26 +536,25 @@ def _minimal_polynomial_of_var(basis: GBasis, var: int,
     times the normal form of x_var^k, scale being the product of the
     reducer's multipliers so far, plus scale at the key -1 - k; packed
     keys are positive, so these tags sort below every monomial and record
-    the combination of powers that a row holds.  Eliminating a pivot
-    takes row[pivot] * vec - vec[pivot] * row.  Once no monomial is left
-    the tags are the relation.  Raises LimitExceeded once a shift would
-    pass the packed degree bound.
+    the combination of powers that a row holds.  A row is stored as a
+    (terms, pivot, coeff) triple, positive at its pivot, and eliminating
+    a pivot is _eliminate against it followed by _strip_content.  Once
+    no monomial is left the tags are the relation.  Raises
+    LimitExceeded once a shift would pass the packed degree bound.
     """
     packing = _Packing(basis.nvars)
     divisors = _Divisors(_basis_triples(basis, packing))
     times_var = packing.times(var)
-    rows: dict = {}                 # pivot key -> row, positive there
+    rows: dict = {}                 # pivot key -> row triple
     current, scale = _reduce_full({packing.base: 1}, divisors, packing)
     for k in range(max_power + 1):
         vec = _strip_content({**current, -1 - k: scale})
         while (pivot := max(vec)) >= 0:
             row = rows.get(pivot)
             if row is None:
-                rows[pivot] = vec
+                rows[pivot] = _gen_triple(vec)
                 break
-            factor = vec[pivot]
-            vec = {e: row[pivot] * c for e, c in vec.items()}
-            _sub_shifted(vec, factor, row, 0)
+            _eliminate(vec, pivot, row)
             vec = _strip_content(vec)
         else:
             return IntPoly([vec.get(-1 - i, 0)
@@ -597,6 +599,8 @@ def eliminate_to_univariate(system: PolySystem, target: str = "auto",
             e[i] = 1
             agg[tuple(e)] = -1
     elif target == "g0":
+        if system.level != "g":
+            raise ValueError("g0 aggregate needs a g-level system")
         agg = {(0,) * nv + (1,): 1, (1,) + (0,) * nv: -1}
     else:
         raise ValueError(f"unknown aggregate {target!r}")

@@ -462,6 +462,14 @@ def test_gb_table_fixtures(capsys):
     assert "gate_ok=True" in out and "theta  2  17*x^2 - 1" in out
 
 
+def test_gb_table_checks_limits_without_computing(capsys):
+    # --fixtures-only computes no row, yet a bad --limits still exits 1
+    for limits in ("{bad", '{"gb_max_spairs": 0}'):
+        assert run(["gb", "table", "--m", "6", "--fixtures-only",
+                    "--limits", limits]) == 1, limits
+        assert "cyclodiff:" in capsys.readouterr().err
+
+
 def test_gb_probe_zero(capsys):
     assert run(["gb", "probe-zero", "--m", "4", "--theta", "1"]) == 0
     assert _json_out(capsys)["result"] == "nonempty"

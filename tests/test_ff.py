@@ -156,3 +156,12 @@ def test_make_field_is_cached():
     assert make_field(p=13, e=1) is field
     assert make_field(13, e=1) is field
     assert make_field(e=1, p=13) is field
+
+
+def test_make_field_keeps_at_most_eight_fields():
+    # a scan asks for each field once, so the cache keeps only the few
+    # fields used last rather than every field's exp/log tables
+    for p in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        make_field(p)
+    assert ff._cached_field.cache_info().currsize <= 8
+    assert make_field(11) is make_field(11)

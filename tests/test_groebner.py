@@ -1,6 +1,8 @@
 """Buchberger engine and the elimination pipeline that produces the
 univariate aggregate polynomials."""
 
+from math import gcd
+
 import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
@@ -9,12 +11,13 @@ from cyclodiff import groebner
 from cyclodiff.errors import (CyclodiffError, LimitExceeded,
                               NotZeroDimensional, OrderMismatch,
                               UncertifiedBasis)
-from cyclodiff.groebner import (_B, GBasis, _Packing, buchberger, certify,
+from cyclodiff.groebner import (_B, GBasis, _eliminate, _gen_triple,
+                                _Packing, buchberger, certify,
                                 compute_f_poly, eliminate_to_univariate,
                                 is_zero_dimensional, normal_form,
                                 probe_g0_zero, staircase)
 from cyclodiff.intpoly import IntPoly
-from cyclodiff.polysys import MPoly, gen_ghat_system
+from cyclodiff.polysys import MPoly, gen_g_system, gen_ghat_system
 from cyclodiff.tables import f_table
 
 
@@ -130,6 +133,37 @@ def test_packing_reaches_the_bound_in_every_field():
             top = tuple(_B if i == v else 0 for i in range(n))
             assert packing.unpack(packing.pack(top)) == top
             assert packing.divides(packing.pack((0,) * n), packing.pack(top))
+
+
+# -- the elimination step ------------------------------------------------------------
+
+
+_EXPS = st.tuples(*[st.integers(0, 3)] * 3)
+_COEFFS = st.integers(-60, 60).filter(bool)
+
+
+@given(st.dictionaries(_EXPS, _COEFFS, min_size=1, max_size=6),
+       st.dictionaries(_EXPS, _COEFFS, max_size=6), _EXPS, _COEFFS)
+def test_elimination_step_matches_the_dict_oracle(gen, work, shift, c):
+    # work gets c at gen's lead times shift, which the step must cancel:
+    # work <- scale * work - factor * shift * gen, with scale > 0 and
+    # gcd(scale, factor) = 1, checked on exponent tuples
+    packing = _Packing(3)
+    gterms, glead, glc = _gen_triple(packing.pack_terms(gen))
+    target = tuple(x + y for x, y in zip(packing.unpack(glead), shift))
+    work = {**work, target: c}
+    packed = packing.pack_terms(work)
+    lead = packing.pack(target)
+    scale = _eliminate(packed, lead, (gterms, glead, glc))
+    factor, rest = divmod(scale * c, glc)
+    assert scale > 0 and rest == 0 and gcd(scale, factor) == 1
+    want = {e: scale * v for e, v in work.items()}
+    for e, v in gen.items():
+        key = tuple(x + y for x, y in zip(e, shift))
+        want[key] = want.get(key, 0) - factor * v
+    want = {e: v for e, v in want.items() if v}
+    assert packing.unpack_terms(packed) == want
+    assert lead not in packed
 
 
 # -- the degree bound ----------------------------------------------------------------
@@ -360,6 +394,15 @@ def test_compute_f_poly_takes_only_the_quotient_strategy():
     for strategy in ("block", "magic"):
         with pytest.raises(ValueError, match="strategy"):
             compute_f_poly(4, 0, strategy=strategy)
+
+
+def test_each_aggregate_refuses_the_other_level():
+    # g0 is a variable of the g level only, the mean of the ghats of the
+    # ghat level only; neither target falls back to the other
+    with pytest.raises(ValueError, match="g-level"):
+        eliminate_to_univariate(gen_ghat_system(4, 0), "g0")
+    with pytest.raises(ValueError, match="ghat-level"):
+        eliminate_to_univariate(gen_g_system(4), "mean_ghat")
 
 
 def test_order6_aggregate_polynomials():

@@ -146,7 +146,7 @@ def test_reducer_remainder_is_a_positive_multiple_of_the_rational_one():
             triples = _basis_triples(GBasis(tuple(divisors), nv,
                                             certified=False), packing)
             packed, mult = _reduce_full(packing.pack_terms(f.terms),
-                                        triples, packing)
+                                        _Divisors(triples), packing)
             rem = packing.unpack_terms(packed)
             assert isinstance(mult, int) and mult > 0
             assert all(isinstance(c, int) for c in rem.values())

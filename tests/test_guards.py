@@ -32,6 +32,26 @@ def test_the_basis_engine_keeps_one_representation():
     assert "Fraction" not in names
 
 
+def test_the_basis_engine_has_one_elimination_step():
+    # only content removal and the fraction-free step take a gcd, and the
+    # reducer divides by a _Divisors, never by a list it must tell apart
+    path = Path(cyclodiff.__file__).parent / "groebner.py"
+    tree = ast.parse(path.read_text(), str(path))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+
+    def calls(fn, name):
+        return any(isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))
+                   for node in ast.walk(fn))
+
+    assert {fn.name for fn in functions if calls(fn, "gcd")} \
+        == {"_strip_content", "_eliminate"}
+    reducer, = [fn for fn in functions if fn.name == "_reduce_full"]
+    assert not calls(reducer, "isinstance")
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # __init__.py imports only to export; elsewhere an imported name must
     # be read somewhere in its module, or its import line must say why not
