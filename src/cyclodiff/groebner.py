@@ -6,10 +6,13 @@ the univariate polynomial whose roots are the admissible g0 values.
 Elimination has one route: a grevlex basis, then the first linear
 dependence among normal forms of powers of the aggregate.  grevlex is
 the one monomial order and polysys.MPoly the one polynomial type.
-Pairs are ranked once, when they are created, and kept in a heap, so
+Pairs are ranked once, when they are created, and kept in one heap, so
 selection costs a logarithm rather than a pass over every pending
-pair.  Stored coefficients are measured after content removal, which
-keeps the intermediate growth observable.
+pair.  The Gebauer-Moeller update prunes that heap and the new pairs
+whenever a generator is appended, so the heap holds exactly the pairs
+still to be reduced and the main loop tests none.  Stored coefficients
+are measured after content removal, which keeps the intermediate
+growth observable.
 
 Every step works in one representation: a polynomial is a dict from
 packed monomials to int coefficients.  A monomial is one int (Bachmann
@@ -302,8 +305,8 @@ def buchberger(system, seed: int = 0,
                max_coeff_bits: Optional[int] = None,
                timeout: Optional[float] = None) -> GBasis:
     """Reduced grevlex Groebner basis of a PolySystem or an iterable of
-    MPoly, with normal pair selection and both of the classical
-    pair-discarding criteria.
+    MPoly, with normal pair selection and the Gebauer-Moeller update
+    (Gebauer & Moeller 1988; UPDATE in Becker & Weispfenning, 1993).
 
     The seed only permutes tie-breaking among equally ranked pairs, so
     it changes the route, never the reduced basis: a property the tests
@@ -313,17 +316,27 @@ def buchberger(system, seed: int = 0,
     given limit must pass the same check as CYCLODIFF_LIMITS, so 0, a
     negative value or a bool is refused, never read as the default.
 
-    The main loop only appends to the basis, so every S-polynomial is
-    divided through one _Divisors over it, whose memo keeps the first
-    divisor of each lead key met so far; the reducer scales each
-    remainder once, at the end.  The chain criterion tests divisibility
-    and looks up the two side pairs without building a tuple per
-    candidate.  The final pass minimalizes and inter-reduces at once: in
-    ascending order of lead it skips a generator whose lead a kept lead
-    divides and appends the rest, reduced by those kept, to one growing
-    _Divisors.  A term below a lead is divisible only by a smaller lead,
-    so each generator meets every lead that could divide its tail, and
-    the result is the unique reduced basis, ascending by lead.
+    The update runs whenever a generator h is appended, on the input
+    generators too.  B drops each queued pair whose lcm the lead of h
+    divides, unless that lcm equals the lcm of h with one of the pair's
+    two generators.  Of the new pairs (g, h), M keeps those whose lcm no
+    smaller new lcm divides, and F pushes, of the pairs that share one
+    lcm, the one with the least seeded tie, or none when one of them has
+    coprime leads.  spairs_discarded counts the pairs dropped at creation
+    or by B.  The heap is the only pair container and holds only pairs
+    that will be reduced, so the S-pair budget counts reductions: a run
+    that reduces n pairs finishes with max_spairs = n.
+
+    The main loop only pops, reduces and appends to the basis, so every
+    S-polynomial is divided through one _Divisors over it, whose memo
+    keeps the first divisor of each lead key met so far; the reducer
+    scales each remainder once, at the end.  The final pass minimalizes
+    and inter-reduces at once: in ascending order of lead it skips a
+    generator whose lead a kept lead divides and appends the rest,
+    reduced by those kept, to one growing _Divisors.  A term below a
+    lead is divisible only by a smaller lead, so each generator meets
+    every lead that could divide its tail, and the result is the unique
+    reduced basis, ascending by lead.
     """
     given = {k: v for k, v in (("gb_max_spairs", max_spairs),
                                ("gb_max_coeff_bits", max_coeff_bits),
@@ -370,21 +383,41 @@ def buchberger(system, seed: int = 0,
         basis.append(_gen_triple(_strip_content(terms)))
 
     # a pair's rank, (lcm key, seeded tie), is fixed once both
-    # generators exist, so each pair is ranked once, on creation; pending
-    # is the membership index that the chain criterion reads
+    # generators exist, so each pair is ranked once, on creation; the
+    # heap holds exactly the pairs still to be reduced
     queue: list = []
-    pending: set = set()
 
-    def add_pairs(new):
-        lead = basis[new][1]
+    def update(new):
+        """The Gebauer-Moeller update for the generator basis[new]."""
+        lead, lcm, divides = basis[new][1], packing.lcm, packing.divides
+        offered = len(queue) + new
+        # B: a queued pair whose lcm the new lead divides is settled by
+        # its two pairs with the new generator, unless one shares its lcm
+        queue[:] = [p for p in queue if not divides(lead, p[0])
+                    or p[0] == lcm(basis[p[2]][1], lead)
+                    or p[0] == lcm(basis[p[3]][1], lead)]
+        heapq.heapify(queue)
+        groups: dict = {}
         for t in range(new):
-            tie = ((t * 2654435761 + new * 40503) ^ seed) & 0xFFFFFFFF
-            heapq.heappush(queue,
-                           (packing.lcm(basis[t][1], lead), tie, t, new))
-            pending.add((t, new))
+            groups.setdefault(lcm(basis[t][1], lead), []).append(t)
+        minimal: list = []
+        for key in sorted(groups):      # a proper divisor sorts first
+            # M: drop an lcm that a smaller new lcm divides; then a kept
+            # one divides it too, since divisibility is transitive
+            if any(divides(low, key) for low in minimal):
+                continue
+            minimal.append(key)
+            # F: one pair per lcm, the least seeded tie, and none when a
+            # pair of that lcm has coprime leads
+            if all(basis[t][1] + lead - packing.base != key
+                   for t in groups[key]):
+                heapq.heappush(queue, min(
+                    (key, ((t * 2654435761 + new * 40503) ^ seed)
+                     & 0xFFFFFFFF, t, new) for t in groups[key]))
+        stats["spairs_discarded"] += offered - len(queue)
 
     for new in range(len(basis)):
-        add_pairs(new)
+        update(new)
 
     # from here on basis only grows, which a shared memo needs
     divisors = _Divisors(basis)
@@ -396,30 +429,10 @@ def buchberger(system, seed: int = 0,
             bail(f"timeout after {timeout:g}s")
         return _strip_content(rem)
 
-    borrow = packing.borrow
     while queue:
         if stats["spairs_reduced"] >= max_spairs:
             bail(f"S-pair budget {max_spairs} exhausted")
-        lcm, _, i, j = heapq.heappop(queue)
-        pending.discard((i, j))
-        # coprime leading monomials: S-polynomial reduces to zero
-        if basis[i][1] + basis[j][1] - packing.base == lcm:
-            stats["spairs_discarded"] += 1
-            continue
-        # chain criterion: a third generator divides the lcm and both
-        # side pairs are already settled; i < j, and the divisibility
-        # test is _Packing.divides, inlined
-        settled = False
-        for k, (_, lk, _) in enumerate(basis):
-            if ((lk | borrow) - lcm) & borrow == borrow \
-                    and k != i and k != j \
-                    and ((i, k) if i < k else (k, i)) not in pending \
-                    and ((j, k) if j < k else (k, j)) not in pending:
-                settled = True
-                break
-        if settled:
-            stats["spairs_discarded"] += 1
-            continue
+        _, _, i, j = heapq.heappop(queue)
         try:
             spoly = _spoly(basis[i], basis[j], packing)
         except LimitExceeded as exc:
@@ -433,7 +446,7 @@ def buchberger(system, seed: int = 0,
         if bits > max_coeff_bits:
             bail(f"coefficient growth {bits} bits exceeds {max_coeff_bits}")
         basis.append(_gen_triple(rem))
-        add_pairs(len(basis) - 1)
+        update(len(basis) - 1)
 
     # minimalize and inter-reduce in one ascending pass over the leads
     reduced = _Divisors([])

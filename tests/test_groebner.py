@@ -418,27 +418,46 @@ def test_order6_aggregate_polynomials():
     assert f1 == rows[1]
 
 
-# (polynomial, spairs_reduced, spairs_discarded, max_coeff_bits,
-# generators) of compute_f_poly(6, theta) for every seed 0 to 10
-ORDER6_RUNS = {0: ([-4, 0, 1], 128, 1702, 564, 17),
+def _route(m, theta, **kw):
+    """(outcome, spairs_reduced, spairs_discarded, max_coeff_bits,
+    generators) of compute_f_poly(m, theta): the outcome is the
+    coefficients, or the exception's class name and message."""
+    stats = {}
+    try:
+        outcome = list(compute_f_poly(m, theta, stats_sink=stats,
+                                      **kw).coeffs)
+    except LimitExceeded as exc:
+        outcome, stats = (type(exc).__name__, str(exc)), exc.stats
+    except NotZeroDimensional as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return (outcome, stats["spairs_reduced"], stats["spairs_discarded"],
+            stats["max_coeff_bits"], stats["generators"])
+
+
+def _assert_budget_is_exact(m, theta, outcome, reduced):
+    # the heap holds only pairs that will be reduced, so a budget of
+    # exactly the reductions a run makes finishes it, and one less stops
+    # it on the budget
+    assert _route(m, theta, max_spairs=reduced)[0] == outcome
+    assert _route(m, theta, max_spairs=reduced - 1)[0] == \
+        ("LimitExceeded", f"S-pair budget {reduced - 1} exhausted")
+
+
+# _route(6, theta) for every seed 0 to 10
+ORDER6_RUNS = {0: ([-4, 0, 1], 120, 1710, 564, 17),
                1: ([-1, 0, 7], 122, 1648, 855, 17)}
 
 
 @pytest.mark.parametrize("theta", sorted(ORDER6_RUNS))
 def test_order6_polynomials_and_counters_hold_for_every_seed(theta):
     for seed in range(11):
-        stats = {}
-        poly = compute_f_poly(6, theta, seed=seed, stats_sink=stats)
-        got = (list(poly.coeffs), stats["spairs_reduced"],
-               stats["spairs_discarded"], stats["max_coeff_bits"],
-               stats["generators"])
-        assert got == ORDER6_RUNS[theta], seed
+        assert _route(6, theta, seed=seed) == ORDER6_RUNS[theta], seed
+    poly, reduced = ORDER6_RUNS[theta][:2]
+    _assert_budget_is_exact(6, theta, poly, reduced)
 
 
-# (outcome, spairs_reduced, spairs_discarded, max_coeff_bits, generators)
-# of compute_f_poly(m, theta) at seed 0 past order 6: the outcome is the
-# coefficients, or the exception's class name and message.  A change to
-# the reducer or the pair queue that alters the route changes a counter.
+# _route(m, theta) at seed 0 past order 6.  A change to the reducer or
+# the pair queue that alters the route changes a counter.
 ROUTE_RUNS = {
     (4, 0): ([1], 6, 39, 4, 1),
     (4, 1): (("NotZeroDimensional",
@@ -446,27 +465,21 @@ ROUTE_RUNS = {
              14, 64, 5, 7),
     (8, 0): (("NotZeroDimensional",
               "no univariate relation on the aggregate was found"),
-             284, 3721, 19, 40),
+             279, 3726, 19, 40),
     (8, 1): ([1], 10, 180, 8, 1),
     (8, 2): (("LimitExceeded", "coefficient growth 5115 bits exceeds 4096"),
-             145, 135, 5115, 133),
+             145, 8339, 5115, 133),
     (8, 3): ([1], 12, 219, 10, 1),
 }
 
 
 @pytest.mark.parametrize("m,theta", sorted(ROUTE_RUNS))
 def test_route_outcomes_and_counters_hold_at_orders_4_and_8(m, theta):
-    stats = {}
-    try:
-        outcome = list(compute_f_poly(m, theta, seed=0,
-                                      stats_sink=stats).coeffs)
-    except LimitExceeded as exc:
-        outcome, stats = (type(exc).__name__, str(exc)), exc.stats
-    except NotZeroDimensional as exc:
-        outcome = (type(exc).__name__, str(exc))
-    got = (outcome, stats["spairs_reduced"], stats["spairs_discarded"],
-           stats["max_coeff_bits"], stats["generators"])
-    assert got == ROUTE_RUNS[m, theta]
+    assert _route(m, theta, seed=0) == ROUTE_RUNS[m, theta]
+    outcome, reduced = ROUTE_RUNS[m, theta][:2]
+    if outcome[0] != "LimitExceeded":
+        # the basis was finished, whatever the elimination made of it
+        _assert_budget_is_exact(m, theta, outcome, reduced)
 
 
 @pytest.mark.parametrize("m,theta", [(12, 0), (12, 2), (16, 1), (20, 0),

@@ -7,7 +7,8 @@ are the slow oracles for buchberger, the fraction-free reducer,
 normal_form and certify; and the univariate element of sympy's lex
 basis is the oracle for eliminate_to_univariate.  A division without a
 memo, written out here, is the oracle for the reducer's shared
-first-divisor memo.
+first-divisor memo.  Besides the random ideals, the basis comparisons
+take the ghat systems of orders 4 and 6.
 """
 
 import random
@@ -25,7 +26,7 @@ from cyclodiff.groebner import (GBasis, _basis_triples, _Divisors,
                                 buchberger, certify,
                                 eliminate_to_univariate, normal_form)
 from cyclodiff.intpoly import IntPoly
-from cyclodiff.polysys import MPoly, PolySystem
+from cyclodiff.polysys import MPoly, PolySystem, gen_ghat_system
 
 
 def _grevlex_key(exps) -> tuple:
@@ -60,6 +61,13 @@ def _random_ideals(count=20, seed=20261018):
 
 
 IDEALS = _random_ideals()
+
+# the paper's own ghat systems, the inputs the engine exists for and
+# larger than any random ideal above
+PAPER_SYSTEMS = [(system.polys[0].nvars, list(system.polys))
+                 for system in (gen_ghat_system(m, theta)
+                                for m, theta in ((4, 0), (4, 1), (6, 0),
+                                                 (6, 1)))]
 
 
 def _syms(nv):
@@ -111,7 +119,7 @@ def test_grevlex_key_matches_sympy():
 
 def test_reduced_bases_match_sympy():
     sizes = []
-    for nv, gens in IDEALS:
+    for nv, gens in IDEALS + PAPER_SYSTEMS:
         syms = _syms(nv)
         ours = buchberger(gens)
         theirs = sp.groebner([_expr(g, syms) for g in gens], *syms,
@@ -119,15 +127,17 @@ def test_reduced_bases_match_sympy():
         assert {sp.Poly(_expr(g, syms), *syms).monic()
                 for g in ours.generators} == \
             {sp.Poly(e, *syms).monic() for e in theirs.exprs}, gens
+        assert certify(ours)
         sizes.append(len(ours))
     # the sample reaches past the trivial one-generator answers
     assert max(sizes) >= 4
 
 
 def test_seed_keeps_the_reduced_basis():
-    for nv, gens in IDEALS:
+    for nv, gens in IDEALS + PAPER_SYSTEMS:
         bases = [set(buchberger(gens, seed=s).generators) for s in range(4)]
         assert all(b == bases[0] for b in bases[1:]), gens
+        assert certify(GBasis(tuple(bases[0]), nv, certified=False))
 
 
 def test_reducer_remainder_is_a_positive_multiple_of_the_rational_one():

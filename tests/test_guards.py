@@ -52,6 +52,32 @@ def test_the_basis_engine_has_one_elimination_step():
     assert not calls(reducer, "isinstance")
 
 
+def test_the_basis_engine_has_one_pair_set():
+    # the heap is buchberger's only pair container: no set indexes it,
+    # and only the Gebauer-Moeller update, run as a generator is added,
+    # pushes a pair
+    path = Path(cyclodiff.__file__).parent / "groebner.py"
+    tree = ast.parse(path.read_text(), str(path))
+    engine, = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "buchberger"]
+
+    def called(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) or getattr(node.func, "attr",
+                                                      None))
+
+    assert not [node for node in ast.walk(engine)
+                if isinstance(node, (ast.Set, ast.SetComp))
+                or called(node) in ("set", "frozenset")]
+    update, = [node for node in ast.walk(engine)
+               if isinstance(node, ast.FunctionDef) and node.name == "update"]
+    pushes = [node for node in ast.walk(engine)
+              if called(node) == "heappush"]
+    assert pushes and all(any(push is node for node in ast.walk(update))
+                          for push in pushes)
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # __init__.py imports only to export; elsewhere an imported name must
     # be read somewhere in its module, or its import line must say why not
