@@ -22,7 +22,12 @@ of diffsets and the identity suite all test through it; the only
 reduction left here is the fold in zeta_p at the prime p, and only CycInt
 values reduce modulo a composite Phi_n.  Every histogram over pairs of
 field elements is counted by _pair_counts, a block of rows at a time,
-each caller with its own literal key.  The products
+each caller with its own literal key.  Each histogram the identity suite
+reads twice is built once per (field, m): both Gauss-product identities
+read the conjugate-norm histogram of _norm_counts, as beta -> -beta turns
+the opposite product's pairs into its pairs with the class axis rolled by
+dlog(-1), and both class-difference identities read the literal
+difference histogram of the m-th powers, _power_differences.  The products
 G(chi^s) G(chi^t) expand into the (m, m, p) pair tensor of traces by
 class, which is never built; its users count (m, p) slabs of it from the
 trace grid, _class_grid, a reshape of tr(g^k) whose row i holds class i.
@@ -382,6 +387,36 @@ def _quotient_key_groups(field: FiniteField, m: int):
             (v.ravel(), np.repeat(keys.diag[cls] + offset, f)))
 
 
+# One entry each: the identity suite reads each histogram twice in a row,
+# the conjugate norm and then the opposite product, the class-difference
+# counts and then their sums, and moves on to the next (field, m).  The
+# entry kept is no larger than what its count allocates anyway.
+@functools.lru_cache(maxsize=1)
+def _norm_counts(field: FiniteField, m: int) -> np.ndarray:
+    """N[d, w] = #{alpha, beta != 0 : dlog(alpha/beta) = d mod m,
+    tr alpha - tr beta = w}, the (m, p) pair histogram that both
+    Gauss-product identities read, counted once per (field, m) by
+    _pair_counts.  Read-only."""
+    q, p = field.q, field.p
+    k, w = np.arange(q - 1), _tables(field).trace
+    h = _pair_counts(q - 1, q - 1, m * p, lambda r: (
+        (k[r, None] - k) % m * p + (w[r, None] - w) % p)).reshape(m, p)
+    h.flags.writeable = False
+    return h
+
+
+@functools.lru_cache(maxsize=1)
+def _power_differences(field: FiniteField, m: int) -> np.ndarray:
+    """b[k] = ordered pairs of nonzero m-th powers at difference g^k, for
+    k = 0..q-2: the literal O(k^2) difference histogram of H
+    (codes_difference_counts) read at g^k, once per (field, m).
+    Read-only."""
+    exp = field.exp_table
+    b = field.codes_difference_counts(exp[::m])[exp]
+    b.flags.writeable = False
+    return b
+
+
 # -- the sums themselves ---------------------------------------------------------
 
 
@@ -436,33 +471,41 @@ def jacobi_row_sum(chi: Character, s: int) -> CharSumValue:
 
 def verify_gauss_conjugate_norm(field: FiniteField, m: int) -> bool:
     """G(chi^s) times its complex conjugate image equals q for every
-    nontrivial power s, and the trivial-power Gauss sum vanishes."""
+    nontrivial power s, and the trivial-power Gauss sum vanishes.
+
+    The product expands over the pairs (alpha, beta) at
+    (dlog(alpha/beta), tr alpha - tr beta), the histogram N of
+    _norm_counts, which verify_gauss_opposite_product reads too.
+    """
     _require_order(field, m)
     q, p = field.q, field.p
-    k, w = np.arange(q - 1), _tables(field).trace
     # trivial power: over the prime p, the sum of zeta_p^tr(alpha) over
     # the whole field, alpha = 0 at tr 0 included, vanishes exactly when
     # the trace counts are constant
-    counts = np.bincount(w, minlength=p)
+    counts = np.bincount(_tables(field).trace, minlength=p)
     counts[0] += 1
     if not _vanishes_at_powers(counts, p):
         return False
-    base = _pair_counts(q - 1, q - 1, m * p, lambda r: (
-        (k[r, None] - k) % m * p + (w[r, None] - w) % p)).reshape(m, p)
+    base = _norm_counts(field, m).copy()
     base[0, 0] -= q
     return _vanishes_at_powers(base, m, p)
 
 
 def verify_gauss_opposite_product(field: FiniteField, m: int) -> bool:
-    """G(chi^s) G(chi^-s) = chi^s(-1) q for every nontrivial power s."""
+    """G(chi^s) G(chi^-s) = chi^s(-1) q for every nontrivial power s.
+
+    The pairs (alpha, beta) of G(chi^s) G(chi^-s) sit at
+    (dlog(alpha/beta), tr alpha + tr beta).  With L = dlog(-1),
+    beta -> -beta maps them onto the pairs of the conjugate norm at
+    (dlog(alpha/beta) + L, tr alpha - tr beta), so their histogram is N
+    of _norm_counts with its class axis rolled by L (a roll by -L is the
+    same, as 2 L = 0 mod m), and nothing is counted here.
+    """
     _require_order(field, m)
-    q, p = field.q, field.p
-    t = _tables(field)
-    k, w = np.arange(q - 1), t.trace
-    base = _pair_counts(q - 1, q - 1, m * p, lambda r: (
-        (k[r, None] - k) % m * p + (w[r, None] + w) % p)).reshape(m, p)
-    base[t.dlog_neg_one % m, 0] -= q
-    return _vanishes_at_powers(base, m, p)
+    L = _tables(field).dlog_neg_one
+    base = np.roll(_norm_counts(field, m), L, axis=0)
+    base[L % m, 0] -= field.q
+    return _vanishes_at_powers(base, m, field.p)
 
 
 def verify_jacobi_quotient(field: FiniteField, m: int) -> bool:
@@ -542,13 +585,12 @@ def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
     _require_order(field, m)
     exp = field.exp_table
     f = (field.q - 1) // m
-    h_codes = exp[::m]  # the nonzero m-th powers
-    b = field.codes_difference_counts(h_codes)[exp]
+    b = _power_differences(field, m)
     # by class of gamma: alpha in H, alpha != 1, with 1 - alpha in gamma H
     if not np.array_equal(b, np.tile(_class_sum_counts(field, m), f)):
         return False
     # modified class: differences over (H u {0})^2
-    c = field.codes_difference_counts(np.concatenate(([0], h_codes)))[exp]
+    c = field.codes_difference_counts(np.concatenate(([0], exp[::m])))[exp]
     k = np.arange(field.q - 1)
     expected = (b + (k % m == 0)
                 + ((k + _tables(field).dlog_neg_one) % m == 0))
@@ -558,10 +600,9 @@ def verify_class_difference_counts(field: FiniteField, m: int) -> bool:
 def verify_class_difference_sums(field: FiniteField, m: int) -> bool:
     """Sum of chi^s(beta-gamma) over pairs from the power class is f S_s."""
     _require_order(field, m)
-    exp = field.exp_table
     f = (field.q - 1) // m
-    counts = field.codes_difference_counts(exp[::m])[exp]
-    w = counts.reshape(f, m).sum(axis=0)  # nonzero differences by class
+    # nonzero differences by class
+    w = _power_differences(field, m).reshape(f, m).sum(axis=0)
     # the beta = gamma diagonal and f times the alpha = 1 term of S_s are
     # both f when the power is trivial and 0 otherwise, so they cancel;
     # decimating by s = 0 leaves only the total, at exponent 0

@@ -247,6 +247,7 @@ def difference_counts(field: FiniteField, m: int, gamma) -> tuple[int, int, int]
     """(a, b, c) for one gamma: a = members alpha of H with 1 - alpha in
     gamma H; b, c = ordered pairs of H (resp. M) at difference gamma,
     that is, the members y with y + gamma in the class as well."""
+    _require_order(field, m)
     code = (field._check(gamma) if isinstance(gamma, FFElement)
             else field.element(int(gamma))).code
     if code == 0:

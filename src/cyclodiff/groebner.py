@@ -193,11 +193,6 @@ def _eliminate(work: dict, lead: int, gen: tuple) -> int:
     return scale
 
 
-# The reducer reads the clock on its first step and then once per this
-# many steps, so a deadline is overrun by at most that many steps.
-_DEADLINE_STEPS = 256
-
-
 class _Divisors:
     """A list of generator triples that only grows, with a memo of the
     first generator whose lead divides each key the reducer has met.
@@ -231,8 +226,8 @@ def _reduce_full(f: dict, divisors: _Divisors, packing: _Packing,
     and r is exactly mult times the remainder that the same division
     over Q leaves.  A remainder term is kept with the multiplier in force
     when it moved there, and scaled once, at the end, by mult over that
-    multiplier.  Past deadline (a time.monotonic() value) it raises
-    LimitExceeded.
+    multiplier.  It reads the clock on every step, and past deadline (a
+    time.monotonic() value) it raises LimitExceeded.
     """
     gens, first = divisors.gens, divisors.first
     borrow = packing.borrow
@@ -241,8 +236,7 @@ def _reduce_full(f: dict, divisors: _Divisors, packing: _Packing,
     mult = 1
     steps = 0
     while work:
-        if deadline is not None and steps % _DEADLINE_STEPS == 0 \
-                and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise LimitExceeded(f"deadline passed after {steps} reduction "
                                 f"steps")
         steps += 1

@@ -500,18 +500,18 @@ def symmetry_transform(sol: SolutionVector, transform) -> SolutionVector:
     prov = dict(sol.provenance)
     entry = [name] + [int(x) for x in transform[1:]]
     prov["transformed_by"] = prov.get("transformed_by", []) + [entry]
+    if name in ("twist", "reindex"):
+        r = int(transform[1]) % m
+        if name == "reindex" and gcd(r, m) != 1:
+            raise NotCoprime(f"reindex exponent {transform[1]} shares a "
+                             f"factor with {m}")
     if sol.level == "g":
         g, h = vals[:m], vals[m]
         if name == "negate":
             g = [-x for x in g]
         elif name == "twist":
-            r = int(transform[1]) % m
             g = [x * CycInt.root(m, (s * r) % m) for s, x in enumerate(g)]
         elif name == "reindex":
-            r = int(transform[1]) % m
-            if gcd(r, m) != 1:
-                raise NotCoprime(f"reindex exponent {transform[1]} shares a "
-                                 f"factor with {m}")
             g = [g[(s * r) % m] for s in range(m)]
             h = _pow_by_squaring(h, r)
         else:
@@ -521,14 +521,9 @@ def symmetry_transform(sol: SolutionVector, transform) -> SolutionVector:
         return SolutionVector("ghat", m, sol.theta,
                               tuple(-x for x in vals), prov)
     if name == "twist":
-        r = int(transform[1]) % m
         return SolutionVector("ghat", m, sol.theta,
                               tuple(vals[(t - r) % m] for t in range(m)), prov)
     if name == "reindex":
-        r = int(transform[1]) % m
-        if gcd(r, m) != 1:
-            raise NotCoprime(f"reindex exponent {transform[1]} shares a "
-                             f"factor with {m}")
         half = m // 2
         rinv = pow(r, -1, half) if half > 1 else 0
         theta = (rinv * sol.theta) % half if sol.theta is not None else None

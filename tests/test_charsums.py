@@ -28,7 +28,7 @@ from cyclodiff.diffsets import (VERDICT_DS, check_charsum, check_direct,
                                check_gauss, check_jacobi, cyclotomic_class,
                                run_all_checkers)
 from cyclodiff.errors import BoundExceeded, OddOrder, OrderDoesNotDivide
-from cyclodiff.ff import dlog, is_prime, make_field, trace
+from cyclodiff.ff import FiniteField, dlog, is_prime, make_field, trace
 
 # prime, extension and characteristic-2 fields for the differential tests
 SWEEP_FIELDS = [(13, 1), (3, 2), (2, 4), (31, 1), (13, 2)]
@@ -63,6 +63,25 @@ def _pair_tensor(field, m):
     return charsums._pair_counts(len(cls), len(cls), m * m * p, lambda r: (
         (t.trace[r, None] + t.trace[None, :]) % p
         + (cls[r, None] * m + cls[None, :]) * p)).reshape(m, m, p)
+
+
+def _clear_count_caches():
+    """Forget every count charsums keeps per (field, m)."""
+    for cached in (charsums._gauss_counts, charsums._norm_counts,
+                   charsums._power_differences):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_counts():
+    """For tests that patch what the cached counts are made from
+    (_PAIR_BLOCK, _tables, _class_pairs) or record the counting: the
+    caches are cleared before and after the test, so that no count made
+    under other data is read, and the clearing function is given to the
+    test to call again after each patch."""
+    _clear_count_caches()
+    yield _clear_count_caches
+    _clear_count_caches()
 
 
 def test_tables_follow_their_definitions():
@@ -394,7 +413,8 @@ def test_routes_build_no_composite_reduction_table(monkeypatch):
     assert orders and all(is_prime(n) for n in orders), sorted(set(orders))
 
 
-def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch):
+def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch,
+                                                       fresh_counts):
     # reference: add every pair of nonzero codes in the field, read the
     # trace of the sum, and key it by the two classes; a block of 1 counts
     # the pairs in as many row blocks as the tensor size allows
@@ -434,7 +454,7 @@ def _recorded_pair_counts(monkeypatch):
     return calls
 
 
-def test_gauss_slices_match_the_pair_tensor(monkeypatch):
+def test_gauss_slices_match_the_pair_tensor(monkeypatch, fresh_counts):
     # the slices the gauss route reads, against the full tensor: the
     # diagonal T[j - dlog(-1), j]; a, the per-class trace histogram,
     # against a literal count; and both marginals (T is symmetric) against
@@ -453,7 +473,7 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch):
             for block in blocks:
                 monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
                 tensor = _pair_tensor(field, m)
-                charsums._gauss_counts.cache_clear()
+                fresh_counts()
                 with monkeypatch.context() as mp:
                     calls = _recorded_pair_counts(mp)
                     a, m1 = _gauss_slices(field, m)
@@ -469,12 +489,13 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch):
     assert (13, 2) in split and (169, 2) in split, split
 
 
-def test_plain_and_modified_gauss_checks_share_one_count(monkeypatch):
+def test_plain_and_modified_gauss_checks_share_one_count(monkeypatch,
+                                                         fresh_counts):
     # both classes are feasible at m = 2 on these fields; the modified
     # check reads the slices the plain check counted
     for q in (31, 47):
         field = make_field(q)
-        charsums._gauss_counts.cache_clear()
+        fresh_counts()
         with monkeypatch.context() as mp:
             calls = _recorded_pair_counts(mp)
             assert check_gauss(field, 2, False) == VERDICT_DS
@@ -499,7 +520,8 @@ def test_cached_gauss_slices_are_read_only():
         assert np.array_equal(m1, _gauss_slices(field, m)[1])
 
 
-def test_gauss_diagonal_is_half_counted_where_symmetric(monkeypatch):
+def test_gauss_diagonal_is_half_counted_where_symmetric(monkeypatch,
+                                                        fresh_counts):
     # m1[j] = T[j - L, j] with L = dlog(-1) on every field and order; where
     # L != 0 mod m (m even, f odd) only half of the diagonal's pairs are
     # counted, and both that case and L = 0 (even q, odd m) occur here
@@ -513,7 +535,7 @@ def test_gauss_diagonal_is_half_counted_where_symmetric(monkeypatch):
             assert half == (m % 2 == 0 and (q - 1) // m % 2 == 1), (q, m)
             cases.add("half" if half else "L = 0" if L == 0 else "whole")
             j = np.arange(m)
-            charsums._gauss_counts.cache_clear()
+            fresh_counts()
             with monkeypatch.context() as mp:
                 calls = _recorded_pair_counts(mp)
                 _, m1 = _gauss_slices(field, m)
@@ -525,7 +547,8 @@ def test_gauss_diagonal_is_half_counted_where_symmetric(monkeypatch):
     assert cases == {"half", "L = 0", "whole"}, cases
 
 
-def test_no_pair_count_is_larger_than_one_class_slab(monkeypatch):
+def test_no_pair_count_is_larger_than_one_class_slab(monkeypatch,
+                                                     fresh_counts):
     # no (m, m, p) tensor is counted in the package: every _pair_counts
     # histogram of the identity suite and the gauss route has at most m p
     # bins, and the gauss verdicts still match the literal count
@@ -571,7 +594,8 @@ def _literal_v(field, m):
     return want
 
 
-def test_quotient_slabs_match_the_tensor_oracles(monkeypatch):
+def test_quotient_slabs_match_the_tensor_oracles(monkeypatch,
+                                                 fresh_counts):
     # stacked over the classes, the U slabs are the pair tensor and the V
     # slabs the literal Jacobi expansion, in one block or one row a block
     blocks = (charsums._PAIR_BLOCK, 1)
@@ -630,11 +654,14 @@ def _recorded_key_groups(monkeypatch):
     return groups
 
 
-def test_gauss_product_histograms_count_in_blocks(monkeypatch):
+def test_gauss_product_histograms_count_in_blocks(monkeypatch,
+                                                  fresh_counts):
     # one block row at a time, and the default block, must give the
-    # one-piece histograms; the quotient tensor is read from the
-    # _pair_counts slabs on dense orders and from a histogram of the
-    # compared V keys on sparse ones, and both kinds of order occur
+    # one-piece histograms; the opposite product counts nothing of its
+    # own, and its literal histogram is the norm's, counted just before,
+    # with the class axis rolled by dlog(-1); the quotient tensor is read
+    # from the _pair_counts slabs on dense orders and from a histogram of
+    # the compared V keys on sparse ones, and both kinds of order occur
     counted = []
     blocked = charsums._pair_counts
 
@@ -650,8 +677,10 @@ def test_gauss_product_histograms_count_in_blocks(monkeypatch):
         monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
         for p, e in SWEEP_FIELDS:
             field = make_field(p, e)
+            neg = _code_order(field).dlog_neg_one
             for m in _orders(field.q):
                 want = _gauss_product_references(field, m)
+                fresh_counts()
                 for name, check in (("norm", verify_gauss_conjugate_norm),
                                     ("opposite",
                                      verify_gauss_opposite_product),
@@ -660,8 +689,11 @@ def test_gauss_product_histograms_count_in_blocks(monkeypatch):
                     groups.clear()
                     assert check(field, m), (field.q, m, name, block)
                     ref = want[name]
-                    if name != "quotient":
-                        got = counted[-1]
+                    if name == "norm":
+                        got = norm = counted[-1]
+                    elif name == "opposite":
+                        assert not counted, (field.q, m, block)
+                        got = np.roll(norm.reshape(m, p), neg, axis=0).ravel()
                     elif _sparse_quotient(field, m):
                         # the V keys hold the f pairs beta = -alpha too
                         kinds.add("sparse")
@@ -681,7 +713,61 @@ def test_gauss_product_histograms_count_in_blocks(monkeypatch):
     assert kinds == {"sparse", "dense"}, kinds
 
 
-def test_quotient_key_groups_match_the_tensor_oracles(monkeypatch):
+def test_identity_suite_counts_each_histogram_once(monkeypatch,
+                                                   fresh_counts):
+    # the opposite product reads the conjugate norm's histogram of the
+    # (q - 1)^2 pairs, and the class-difference sums the class-difference
+    # counts' literal histogram of H, so one suite call counts the pairs
+    # once and differences twice: over H, and over H with 0 for check (ii)
+    grids, differences = [], []
+    counted = charsums._pair_counts
+    differ = FiniteField.codes_difference_counts
+
+    def recording(rows, cols, size, keys):
+        grids.append((rows, cols))
+        return counted(rows, cols, size, keys)
+
+    monkeypatch.setattr(charsums, "_pair_counts", recording)
+    monkeypatch.setattr(FiniteField, "codes_difference_counts", lambda
+                        field, codes: differences.append(len(codes))
+                        or differ(field, codes))
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        q = field.q
+        for m in _orders(q, 2):
+            fresh_counts()
+            grids.clear()
+            differences.clear()
+            assert all(verify_identity_suite(field, m).values()), (q, m)
+            assert grids.count((q - 1, q - 1)) == 1, (q, m, grids)
+            f = (q - 1) // m
+            assert differences == [f, f + 1], (q, m, differences)
+
+
+def test_opposite_product_rejects_one_trace_off(monkeypatch, fresh_counts):
+    # the opposite product reads the norm histogram, counted from the
+    # traces; one trace entry off must turn its verdict on every field and
+    # order where there is a nontrivial power
+    tables = charsums._tables
+
+    def off_by_one(field):
+        t = tables(field)
+        trace = t.trace.copy()
+        trace[len(trace) // 2] = (trace[len(trace) // 2] + 1) % field.p
+        return SimpleNamespace(trace=trace, zech=t.zech,
+                               dlog_neg_one=t.dlog_neg_one)
+
+    cases = [(make_field(p, e), m) for p, e in SWEEP_FIELDS
+             for m in _orders(p ** e, 2)]
+    assert all(verify_gauss_opposite_product(*case) for case in cases)
+    monkeypatch.setattr(charsums, "_tables", off_by_one)
+    for field, m in cases:
+        fresh_counts()
+        assert verify_gauss_opposite_product(field, m) is False, (field.q, m)
+
+
+def test_quotient_key_groups_match_the_tensor_oracles(monkeypatch,
+                                                      fresh_counts):
     # group by group, the histograms of the U and V keys are the rows
     # i0..i1 - 1 of the pair tensor and of the literal Jacobi expansion,
     # on every order (dense ones included), in one block or one class a
@@ -711,7 +797,8 @@ def test_quotient_key_groups_match_the_tensor_oracles(monkeypatch):
                 assert next_class == m, (q, m, block)
 
 
-def test_quotient_check_rejects_one_class_off_by_one(monkeypatch):
+def test_quotient_check_rejects_one_class_off_by_one(monkeypatch,
+                                                     fresh_counts):
     # one dlog(1 - a) class off by one leaves U and V the same size, so
     # only their contents tell them apart; both the sorted keys of a
     # sparse order and the slab histograms of a dense one must see it.

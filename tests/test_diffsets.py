@@ -196,11 +196,15 @@ def test_direct_infeasible():
 
 
 def test_checkers_require_a_dividing_order():
-    # m = 0 used to divide by zero, and m = 5 on F_13 answered "infeasible"
+    # m = 0 used to divide by zero, and m = 5 on F_13 answered "infeasible";
+    # difference_counts failed inside numpy at m = 0 and m = -3, on a slice
+    # step of zero and a negative minlength
     field = make_field(13)
-    for m in (0, 5):
+    for m in (0, -3, 5):
         with pytest.raises(OrderDoesNotDivide):
             DSParams.from_instance(13, m, False)
+        with pytest.raises(OrderDoesNotDivide):
+            difference_counts(field, m, 2)
         for check in (check_charsum, check_jacobi, check_gauss):
             for modified in (False, True):
                 with pytest.raises(OrderDoesNotDivide):

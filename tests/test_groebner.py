@@ -2,6 +2,7 @@
 univariate aggregate polynomials."""
 
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 import sympy as sp
@@ -300,6 +301,24 @@ def test_timeout_stops_inside_the_reducer(monkeypatch):
     assert exc.stats["spairs_reduced"] == 0
     assert isinstance(exc.partial, GBasis) and not exc.partial.certified
     assert len(exc.partial) == len(gen_ghat_system(6, 0).polys)
+
+
+def test_reducer_reads_the_clock_on_every_step(monkeypatch):
+    # x^300 on division by x - 1 takes 300 steps, down to the remainder 1;
+    # a clock that passes the deadline on its fourth read must stop the
+    # reducer before its fourth step
+    packing = _Packing(1)
+    gen = _gen_triple(packing.pack_terms({(1,): 1, (0,): -1}))
+    f = packing.pack_terms({(300,): 1})
+    assert groebner._reduce_full(f, groebner._Divisors([gen]), packing) == \
+        ({packing.pack((0,)): 1}, 1)
+    reads = []
+    monkeypatch.setattr(groebner, "time", SimpleNamespace(
+        monotonic=lambda: reads.append(None) or len(reads)))
+    with pytest.raises(LimitExceeded, match="after 3 reduction steps"):
+        groebner._reduce_full(f, groebner._Divisors([gen]), packing,
+                              deadline=3.5)
+    assert len(reads) == 4
 
 
 # -- normal form and quotient data ---------------------------------------------------

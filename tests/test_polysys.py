@@ -193,8 +193,11 @@ def test_negate_twist_reindex_preserve_membership():
 
 
 def test_reindex_requires_coprime():
-    with pytest.raises(NotCoprime):
-        symmetry_transform(explicit_solution(6), ("reindex", 2))
+    # at the g level and, through the Fourier dictionary, at the ghat level
+    g = explicit_solution(6)
+    for sol in (g, dft_bridge_inverse(g)):
+        with pytest.raises(NotCoprime):
+            symmetry_transform(sol, ("reindex", 2))
 
 
 def test_reindex_powers_h():
