@@ -29,14 +29,17 @@ the opposite product's pairs into its pairs with the class axis rolled by
 dlog(-1), and both class-difference identities read the literal
 difference histogram of the m-th powers, _power_differences.  The products
 G(chi^s) G(chi^t) expand into the (m, m, p) pair tensor of traces by
-class, which is never built; its users count (m, p) slabs of it from the
-trace grid, _class_grid, a reshape of tr(g^k) whose row i holds class i.
-The gauss route of diffsets reads the diagonal slab T[j - dlog(-1), j]
-and the per-class trace histogram (through _gauss_slices), counted once
-per (field, m) and, where the symmetry of T allows, over half the
-diagonal; the tensor's marginals follow from the histogram.  The
-quotient identity compares the tensor with its Jacobi expansion class by
-class, from one definition of the pairs' keys (_quotient_keys): as slab
+class, which is never built.  The gauss route of diffsets reads the
+diagonal slab T[j - dlog(-1), j] and the per-class trace histogram
+(through _gauss_slices), once per (field, m), and counts no pair:
+scaling by u in F_p^* moves both classes by dlog(u) and multiplies the
+trace sum by u, so every column w != 0 of the slab is the column w = 1
+rolled along the class axis, and only the columns w = 0 and 1 are summed
+from the histogram, in O(m p); the tensor's marginals follow from the
+histogram too.  The quotient identity counts (m, p) slabs of the tensor
+from the trace grid, _class_grid, a reshape of tr(g^k) whose row i holds
+class i, and compares them with its Jacobi expansion class by class,
+from one definition of the pairs' keys (_quotient_keys): as slab
 histograms where a slab of m p bins holds no more than its f (q - 1)
 pairs, and otherwise, where most bins would be empty, as the sorted keys
 of about one block of pairs at a time, which are equal exactly when the
@@ -138,7 +141,9 @@ _PAIR_BLOCK = 1 << 18
 # Bins of the m class slabs, m m p, past which the Gauss-product paths raise
 # BoundExceeded, and pairs of nonzero elements, (q - 1)^2, past which the
 # gauss route does.  The quotient identity's keys are int32 and lie below
-# m m p, so _TENSOR_MAX must stay below 2^31.
+# m m p, so _TENSOR_MAX must stay below 2^31.  _PAIRS_MAX bounds no count,
+# as _gauss_counts sums O(m p) products and counts no pair; it is kept so
+# that the gauss route's skip set does not depend on how m1 is built.
 _TENSOR_MAX = 3 * 10 ** 7
 _PAIRS_MAX = 3 * 10 ** 7
 
@@ -252,13 +257,15 @@ def _class_grid(field: FiniteField, m: int) -> np.ndarray:
 def _gauss_slices(field: FiniteField, m: int):
     """What the gauss route reads of the pair tensor
     T[i, j, w] = #{nonzero alpha, beta in classes i, j : tr alpha + tr beta = w},
-    counted in O(m p + block) memory:
+    in O(m p) time and memory beyond one pass over the traces:
 
     a[i, w]  = #{alpha != 0 : dlog alpha = i mod m, tr alpha = w};
     m1[j]    = T[j - dlog(-1), j], the diagonal slab.
 
-    The marginals of T need no count: they are (q/p) f - a (see
-    diffsets.check_gauss).  Raises BoundExceeded where
+    No pair is counted: m1 is summed from a at w = 0 and w = 1, and the
+    scaling symmetry of T under F_p^* gives the other columns (see
+    _gauss_counts).  The marginals of T need no count either: they are
+    (q/p) f - a (see diffsets.check_gauss).  Raises BoundExceeded where
     verify_jacobi_quotient does, so both skip the same instances; the
     budget is checked on every call, before the cache of _gauss_counts is
     read, so a lowered budget raises even for a (field, m) counted before.
@@ -269,44 +276,34 @@ def _gauss_slices(field: FiniteField, m: int):
 
 
 # At most 4 entries of two m p int64 arrays: 22.4 MB at the route's caps of
-# m <= 64 and (q - 1)^2 <= 3e7 (p <= 5478), a few kB in practice.  The plain
-# and the modified check of one (field, m) read one entry.
+# m <= 64 and (q - 1)^2 <= 3e7 (p <= 5478), a few kB in practice; counting
+# one entry allocates a few more m p arrays and nothing of size m m.  The
+# plain and the modified check of one (field, m) read one entry.
 @functools.lru_cache(maxsize=4)
 def _gauss_counts(field: FiniteField, m: int):
-    """(a, m1) of _gauss_slices, counted once per (field, m).
-
-    m1 is counted over half the diagonal when it can be.  With
-    L = dlog(-1), 2 L = 0 mod m (2 L = q - 1 for odd q, L = 0 for even q),
-    and T is symmetric in its class axes, so
-    m1[j - L] = T[j - 2 L, j - L] = T[j, j - L] = m1[j].
-    When L != 0 mod m, that is m even and f = (q - 1)/m odd, L = m/2 mod m:
-    the rows j < m/2 are counted and tiled.  Otherwise all m rows are.
+    """(a, m1) of _gauss_slices, once per (field, m), in O(m p) beyond the
+    histogram a: each class sums two trace convolutions, at w = 0 and
+    w = 1, and the F_p^* scaling symmetry of T fills the other columns of
+    m1 by rolling the w = 1 column along the class axis.
     """
-    p, f = field.p, (field.q - 1) // m
-    t = _tables(field)
+    p, t = field.p, _tables(field)
     a = np.bincount(np.arange(field.q - 1) % m * p + t.trace,
                     minlength=m * p).reshape(m, p)
-    grid = _class_grid(field, m)
-    lhs = np.roll(grid, t.dlog_neg_one, axis=0)  # lhs[j] = grid[j - L]
-    rows = m // 2 if t.dlog_neg_one % m else m
-    # classes per _pair_counts call: about one block of pairs, and at most
-    # max(1, m // 2) of 2 p bins each, so no histogram passes max(m, 2) p
-    # bins; past one block per class, _pair_counts splits a class's rows
-    per = min(max(1, m // 2), max(1, _PAIR_BLOCK // (f * f)))
-    parts = []
-    for j0 in range(0, rows, per):
-        cls = slice(j0, min(j0 + per, rows))
-        left = lhs[cls]
-        # class j - j0 keys its trace sums from 2 p (j - j0): each sum
-        # tr alpha + tr beta lies in [0, 2 p - 2], so no modulo is taken
-        right = grid[cls] + 2 * p * np.arange(len(left))[:, None]
-        h = _pair_counts(f, len(left) * f, 2 * p * len(left), lambda r: (
-            left[:, r, None] + right[:, None, :])).reshape(-1, 2, p)
-        # fold: a sum w + p reduces to w mod p, so bins w and w + p merge
-        parts.append(h[:, 0] + h[:, 1])
-    m1 = np.concatenate(parts)
-    if rows < m:
-        m1 = np.tile(m1, (2, 1))
+    # With L = dlog(-1), m1[j, w] = sum_t a[j - L, t] a[j, w - t mod p].
+    # For u in F_p^*, (alpha, beta) -> (u alpha, u beta) moves both classes
+    # by c(u) = dlog(u) mod m and, the trace being F_p-linear, scales
+    # tr alpha + tr beta by u: T[i, j, w] = T[i + c(u), j + c(u), u w], so
+    # m1[j, w] = m1[j - c(w), 1] for w != 0, with c(w) = dlog(w) mod m as
+    # the code of the constant w is w.  Only s0 = m1[:, 0] and s1 = m1[:, 1]
+    # are summed, p products per class: twice[j, p + w - t] = a[j, w - t].
+    # m1 gathers s0 at 2 m + j and s1 at j - c(w) + m from (s1, s1, s0),
+    # so no index is reduced mod m.
+    lhs = np.roll(a, t.dlog_neg_one, axis=0)
+    twice = np.concatenate((a, a), axis=1)
+    s0 = np.einsum("jt,jt->j", lhs, twice[:, p:0:-1])
+    s1 = np.einsum("jt,jt->j", lhs, twice[:, p + 1:1:-1])
+    col = np.concatenate(([2 * m], m - field.log_table[1:p] % m))
+    m1 = np.concatenate((s1, s1, s0))[np.arange(m)[:, None] + col]
     a.flags.writeable = m1.flags.writeable = False
     return a, m1
 
@@ -611,7 +608,13 @@ def verify_class_difference_sums(field: FiniteField, m: int) -> bool:
 
 
 def verify_identity_suite(field: FiniteField, m: int) -> dict[str, bool]:
-    """Run every exact identity check for one (field, m); all should pass."""
+    """Run every exact identity check for one (field, m); all should pass.
+
+    Raises BoundExceeded past the tensor budget before anything is
+    counted, as the quotient check would raise after the others.
+    """
+    _require_order(field, m)
+    _require_tensor_budget(m, field.p)
     out = {
         "gauss_conjugate_norm": verify_gauss_conjugate_norm(field, m),
         "gauss_opposite_product": verify_gauss_opposite_product(field, m),

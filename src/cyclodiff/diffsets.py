@@ -5,9 +5,9 @@ H with zero appended.  Four routes decide whether such a class is a
 difference set: literal difference counting, class sums, Jacobi row
 sums, and a Gauss-sum product relation.  The class-sum and Jacobi routes
 count from the same class pairs (charsums._class_pairs), and the Gauss
-route counts the diagonal slab of the trace pair tensor and the per-class
-trace histogram from the traces tr(g^k), once per (field, m)
-(charsums._gauss_slices).
+route sums the diagonal slab of the trace pair tensor from the per-class
+trace histogram of the traces tr(g^k), once per (field, m), with no pair
+counted (charsums._gauss_slices).
 All three test every nontrivial power at once with
 charsums._vanishes_at_powers: by
 Fourier inversion over Z/m their counts vanish at every such power
@@ -209,13 +209,15 @@ def check_gauss(field: FiniteField, m: int, modified: bool) -> str:
     relation reads only its slice T[j - dlog(-1), j], its two marginals
     and the per-class trace histogram a.  The marginals follow from a and
     drop out of the constancy test (see below), so charsums._gauss_slices
-    counts only a and the slice, over at most (q - 1)^2 / m pairs, and half
-    that when m is even and f odd, the case of every feasible even m.  The
-    plain and the modified check of one (field, m) share that one count.
-    Raises BoundExceeded past gauss_check_m_max, the (q - 1)^2
-    pair budget or the m m p slab budget that the Jacobi quotient identity
-    also obeys, so the skipped instances do not depend on how the slices
-    are counted.
+    builds only a and the slice.  It counts no pair: scaling by F_p^*
+    makes every column w != 0 of the slice a class-rolled copy of column
+    1, so two trace convolutions per class, at w = 0 and 1, give the
+    slice in O(m p).  The plain and the modified check of one (field, m)
+    share that one count.  Raises BoundExceeded past gauss_check_m_max,
+    the (q - 1)^2 pair budget or the m m p slab budget that the Jacobi
+    quotient identity also obeys; the slice no longer costs what those
+    budgets measure, and they are kept so that the skipped instances
+    stay the same.
     """
     params = DSParams.from_instance(field.q, m, modified)
     if not params.feasible:

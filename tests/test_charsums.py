@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from sympy import mobius, totient
 
-from cyclodiff import charsums, cyclotomic
+from cyclodiff import charsums, cyclotomic, diffsets
 from cyclodiff.charsums import (_class_pairs, _class_sum_counts,
                                 _gauss_slices, _quotient_slabs, _tables,
                                 _vanishes_at_powers,
@@ -435,34 +435,13 @@ def test_pair_tensor_matches_the_pair_sum_construction(monkeypatch,
                     (q, m, block)
 
 
-def _recorded_pair_counts(monkeypatch):
-    """Patch _pair_counts to record, per call, its rows x cols pairs and
-    every row slice its keys are asked for; the list is returned."""
-    calls = []
-    counted = charsums._pair_counts
-
-    def recording(rows, cols, size, keys):
-        slices = []
-        calls.append((rows * cols, slices))
-
-        def logged(r):
-            slices.append(r)
-            return keys(r)
-        return counted(rows, cols, size, logged)
-
-    monkeypatch.setattr(charsums, "_pair_counts", recording)
-    return calls
-
-
 def test_gauss_slices_match_the_pair_tensor(monkeypatch, fresh_counts):
     # the slices the gauss route reads, against the full tensor: the
     # diagonal T[j - dlog(-1), j]; a, the per-class trace histogram,
     # against a literal count; and both marginals (T is symmetric) against
-    # (q/p) f - a, the form check_gauss folds them into.  The slices are
-    # cached per (field, m), so the cache is cleared for each block size,
-    # and a block of 1 must split the rows of one class into sub-blocks
+    # (q/p) f - a, the form check_gauss folds them into.  The oracle
+    # tensor is counted in one block and in blocks of one row
     blocks = (charsums._PAIR_BLOCK, 1)
-    split = []
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
         q, t = field.q, _code_order(field)
@@ -474,37 +453,45 @@ def test_gauss_slices_match_the_pair_tensor(monkeypatch, fresh_counts):
                 monkeypatch.setattr(charsums, "_PAIR_BLOCK", block)
                 tensor = _pair_tensor(field, m)
                 fresh_counts()
-                with monkeypatch.context() as mp:
-                    calls = _recorded_pair_counts(mp)
-                    a, m1 = _gauss_slices(field, m)
-                assert calls, (q, m, block)
-                if block == 1:
-                    split += [(q, m) for _, sl in calls if len(sl) > 1]
+                a, m1 = _gauss_slices(field, m)
                 assert np.array_equal(a, want_a), (q, m, block)
                 assert np.array_equal(
                     m1, tensor[(j - t.dlog_neg_one) % m, j]), (q, m, block)
                 marginal = (q // p) * a.sum(axis=1, keepdims=True) - a
                 assert np.array_equal(tensor.sum(axis=0), marginal), (q, m)
                 assert np.array_equal(tensor.sum(axis=1), marginal), (q, m)
-    assert (13, 2) in split and (169, 2) in split, split
 
 
-def test_plain_and_modified_gauss_checks_share_one_count(monkeypatch,
-                                                         fresh_counts):
+def test_pair_tensor_is_invariant_under_scaling_by_the_prime_field():
+    # the symmetry the gauss slices are built from: (alpha, beta) ->
+    # (u alpha, u beta) for u in F_p^* moves both classes by dlog(u) and
+    # scales the trace sum by u, so T[i, j, w] = T[i + c, j + c, u w]
+    # with c = dlog(u) mod m; read on the oracle tensor, every u and m
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        q, t = field.q, _code_order(field)
+        for m in _orders(q):
+            tensor = _pair_tensor(field, m)
+            for u in range(1, p):
+                # the code of the constant u is u, and codes[u - 1] = u
+                shift = (np.arange(m) + t.dlog[u - 1]) % m
+                scaled = tensor[shift][:, shift][:, :, u * np.arange(p) % p]
+                assert np.array_equal(scaled, tensor), (q, m, u)
+
+
+def test_plain_and_modified_gauss_checks_share_one_count(fresh_counts):
     # both classes are feasible at m = 2 on these fields; the modified
     # check reads the slices the plain check counted
     for q in (31, 47):
         field = make_field(q)
         fresh_counts()
-        with monkeypatch.context() as mp:
-            calls = _recorded_pair_counts(mp)
-            assert check_gauss(field, 2, False) == VERDICT_DS
-            counted = len(calls)
-            for modified in (False, True):
-                direct = check_direct(field,
-                                      cyclotomic_class(field, 2, modified))
-                assert check_gauss(field, 2, modified) == direct.verdict, q
-        assert counted > 0 and len(calls) == counted, (q, counted, calls)
+        assert check_gauss(field, 2, False) == VERDICT_DS
+        misses = charsums._gauss_counts.cache_info().misses
+        for modified in (False, True):
+            direct = check_direct(field, cyclotomic_class(field, 2, modified))
+            assert check_gauss(field, 2, modified) == direct.verdict, q
+        assert misses == 1, (q, misses)
+        assert charsums._gauss_counts.cache_info().misses == misses, q
 
 
 def test_cached_gauss_slices_are_read_only():
@@ -520,31 +507,67 @@ def test_cached_gauss_slices_are_read_only():
         assert np.array_equal(m1, _gauss_slices(field, m)[1])
 
 
-def test_gauss_diagonal_is_half_counted_where_symmetric(monkeypatch,
-                                                        fresh_counts):
-    # m1[j] = T[j - L, j] with L = dlog(-1) on every field and order; where
-    # L != 0 mod m (m even, f odd) only half of the diagonal's pairs are
-    # counted, and both that case and L = 0 (even q, odd m) occur here
+def _guard_the_gauss_route(mp, field):
+    """Patch away what the charsum and jacobi routes share, so that the
+    gauss route fails on reading it: _pair_counts and _class_pairs raise,
+    and _tables is a namespace without the Zech logarithms."""
+    def shared(*args):
+        raise AssertionError("the gauss route read shared data")
+
+    t = _tables(field)
+    own = SimpleNamespace(trace=t.trace, dlog_neg_one=t.dlog_neg_one)
+    mp.setattr(charsums, "_pair_counts", shared)
+    mp.setattr(charsums, "_class_pairs", shared)
+    for module in (charsums, diffsets):
+        mp.setattr(module, "_tables", lambda f: own)
+
+
+def test_gauss_diagonal_matches_the_tensor_in_every_dlog_case(
+        monkeypatch, fresh_counts):
+    # m1[j] = T[j - L, j] with L = dlog(-1) on every field and order, read
+    # without the data the other routes share; "half", L = m/2 mod m (m
+    # even, f odd), "L = 0" (even q) and "whole", L = 0 mod m with L != 0,
+    # all occur here
     cases = set()
     for p, e in SWEEP_FIELDS:
         field = make_field(p, e)
-        q, t = field.q, _tables(field)
+        q, L = field.q, _tables(field).dlog_neg_one
         for m in _orders(q):
-            L = t.dlog_neg_one
-            half = L % m != 0
-            assert half == (m % 2 == 0 and (q - 1) // m % 2 == 1), (q, m)
-            cases.add("half" if half else "L = 0" if L == 0 else "whole")
+            shifted = L % m != 0
+            assert shifted == (m % 2 == 0 and (q - 1) // m % 2 == 1), (q, m)
+            cases.add("half" if shifted else "L = 0" if L == 0 else "whole")
             j = np.arange(m)
+            tensor = _pair_tensor(field, m)
             fresh_counts()
             with monkeypatch.context() as mp:
-                calls = _recorded_pair_counts(mp)
+                _guard_the_gauss_route(mp, field)
                 _, m1 = _gauss_slices(field, m)
-            assert np.array_equal(
-                m1, _pair_tensor(field, m)[(j - L) % m, j]), (q, m)
-            slab = (q - 1) ** 2 // m
-            pairs = sum(n for n, _ in calls)
-            assert pairs == (slab // 2 if half else slab), (q, m, pairs)
+            assert np.array_equal(m1, tensor[(j - L) % m, j]), (q, m)
     assert cases == {"half", "L = 0", "whole"}, cases
+
+
+def test_gauss_route_reads_nothing_the_other_routes_share(monkeypatch,
+                                                          fresh_counts):
+    # the gauss route must stay an independent cross-check: with the
+    # shared counter, the class pairs and the Zech logarithms gone, its
+    # slices are built and its verdicts still match the literal count
+    m_max = current_limits().gauss_check_m_max
+    checked = 0
+    for p, e in SWEEP_FIELDS:
+        field = make_field(p, e)
+        for m in _orders(field.q):
+            direct = {modified: check_direct(
+                field, cyclotomic_class(field, m, modified)).verdict
+                for modified in (False, True)}
+            fresh_counts()
+            with monkeypatch.context() as mp:
+                _guard_the_gauss_route(mp, field)
+                _gauss_slices(field, m)
+                for modified in (False, True) if m <= m_max else ():
+                    assert check_gauss(field, m, modified) == \
+                        direct[modified], (field.q, m, modified)
+                    checked += 1
+    assert checked > 0
 
 
 def test_no_pair_count_is_larger_than_one_class_slab(monkeypatch,
@@ -829,13 +852,16 @@ def test_quotient_check_rejects_one_class_off_by_one(monkeypatch,
         assert paths == [path], (q, m, paths)
 
 
-def test_tensor_budget_raises_before_counting(monkeypatch):
+def test_tensor_budget_raises_before_counting(monkeypatch, fresh_counts):
     # both Gauss-product paths bound the m slabs of m p bins; the default
-    # budget skips m = 2052 on F_2053, as the whole tensor's did
+    # budget skips m = 2052 on F_2053, as the whole tensor's did, and the
+    # identity suite raises at m = 396 on F_397 before any check counts
     with monkeypatch.context() as mp:
         mp.setattr(charsums, "_pair_counts", None)   # never reached
         with pytest.raises(BoundExceeded):
             verify_jacobi_quotient(make_field(2053), 2052)
+        with pytest.raises(BoundExceeded):
+            verify_identity_suite(make_field(397), 396)
     # below, the budget is patched low, so no test asks for a huge count
     field, m = make_field(37), 4
     size = m * m * 37
